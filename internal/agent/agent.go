@@ -127,8 +127,13 @@ type Agent struct {
 	name   string
 	local  *hocl.Solution
 	engine *hocl.Engine
-	rng    *rand.Rand
-	sub    *mq.Subscription
+	// rng drives duration draws. Unless Config.Rand supplies it, it is
+	// built from rngSeed on the first draw: the seed is taken from the
+	// cluster at New, but most services have a fixed duration and a
+	// math/rand source costs about 5 KB per agent.
+	rng     *rand.Rand
+	rngSeed int64
+	sub     *mq.Subscription
 	// runCtx is the context of the active Run, consulted by invoke so a
 	// cancelled agent abandons its in-flight modelled invocation instead
 	// of sleeping it out.
@@ -176,7 +181,7 @@ func New(cfg Config) *Agent {
 	a.statusEnc.Incarnation = cfg.Incarnation
 	a.rng = cfg.Rand
 	if a.rng == nil && cfg.Cluster != nil {
-		a.rng = cfg.Cluster.Rand()
+		a.rngSeed = cfg.Cluster.RandSeed()
 	}
 	a.engine = hocl.NewEngine()
 	if cfg.Metrics != nil {
@@ -269,6 +274,9 @@ func (a *Agent) invoke(args []hocl.Atom) ([]hocl.Atom, error) {
 		}
 	}
 
+	if svc.DurationFn != nil && a.rng == nil {
+		a.rng = rand.New(rand.NewSource(a.rngSeed))
+	}
 	dur := svc.InvocationDuration(a.rng)
 	startModel, startWall := a.clock().Now(), time.Now()
 	a.cfg.Trace.Record(trace.ServiceInvoked, a.name, a.cfg.Incarnation, string(svcName))

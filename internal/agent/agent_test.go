@@ -433,3 +433,43 @@ func TestResyncMarkerForcesFullPush(t *testing.T) {
 		t.Fatalf("post-resync push published %d total, want 2", got)
 	}
 }
+
+// TestAgentDurationDrawsMatchClusterStream: an agent builds its duration
+// RNG only on the first draw, yet draws exactly what an eagerly built
+// cluster.Rand() stream would from the same cluster draw — and an agent
+// that never draws still takes its draw, so later agents' streams do not
+// shift.
+func TestAgentDurationDrawsMatchClusterStream(t *testing.T) {
+	cfg := cluster.Config{Nodes: 1, Seed: 7, Virtual: true}
+	var got []float64
+	services := noopRegistry(1, "fixed")
+	services.Register(&Service{Name: "drawn", DurationFn: func(r *rand.Rand) float64 {
+		d := r.Float64()
+		got = append(got, d)
+		return d
+	}})
+	spec, _ := twoAgentSpecs(t)
+	clus := cluster.New(cfg)
+	idle := New(Config{Spec: spec, Cluster: clus, Services: services})
+	a := New(Config{Spec: spec, Cluster: clus, Services: services})
+	for _, svc := range []string{"fixed", "drawn", "fixed", "drawn", "drawn"} {
+		if _, err := a.invoke([]hocl.Atom{hocl.Str(svc)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if idle.rng != nil {
+		t.Error("an agent that never drew built its RNG")
+	}
+
+	ref := cluster.New(cfg)
+	ref.Rand() // the idle agent's draw
+	want := ref.Rand()
+	for i, d := range got {
+		if w := want.Float64(); d != w {
+			t.Fatalf("draw %d = %v, want %v", i, d, w)
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d draws, want 3", len(got))
+	}
+}

@@ -327,8 +327,13 @@ func (c *Cluster) TotalSlots() int {
 // Rand derives a new deterministic RNG stream from the cluster seed.
 // Each caller gets an independent stream, so concurrent consumers do not
 // contend on one generator.
-func (c *Cluster) Rand() *rand.Rand {
+func (c *Cluster) Rand() *rand.Rand { return rand.New(rand.NewSource(c.RandSeed())) }
+
+// RandSeed draws the seed of the stream Rand would return, for callers
+// that build the stream only if they need it. It advances the cluster
+// generator exactly as Rand does.
+func (c *Cluster) RandSeed() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return rand.New(rand.NewSource(c.rng.Int63()))
+	return c.rng.Int63()
 }

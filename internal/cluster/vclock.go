@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,8 +33,9 @@ import (
 // as a deterministic hang (debuggable), never as a flaky timestamp.
 
 // waiter states. A waiter is created per blocking call, lives in at
-// most one of the timer heap / a Cond's list plus optionally the
-// interruptible list, and is granted the run token exactly once.
+// most one of the timer heap / a Cond's list plus optionally its
+// context's interruptible bucket, and is granted the run token exactly
+// once.
 const (
 	stBlocked = iota // parked on a timer deadline or a Cond
 	stQueued         // moved to the ready queue, awaiting the token
@@ -51,8 +53,21 @@ type vwaiter struct {
 	// lock before the grant send, read by the woken goroutine after the
 	// grant receive.
 	interrupted bool
-	done        <-chan struct{} // ctx.Done(); nil when not interruptible
+	bucket      *waitBucket // the ctx.Done() bucket; nil when not interruptible
 }
+
+// waitBucket holds the interruptible waiters parked on one ctx.Done()
+// channel, in registration order. live counts the entries still
+// stBlocked; the rest are stale and compacted away once they outnumber
+// the live ones by more than bucketSlack, so a bucket holds O(live)
+// entries however many waits cycle through it.
+type waitBucket struct {
+	done <-chan struct{}
+	ws   []*vwaiter
+	live int
+}
+
+const bucketSlack = 8
 
 // timerHeap orders waiters by (deadline, registration seq).
 type timerHeap []*vwaiter
@@ -64,8 +79,8 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)        { *h = append(*h, x.(*vwaiter)) }
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*vwaiter)) }
 func (h *timerHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -84,13 +99,14 @@ type vsched struct {
 	running bool // the run token is held by some participant
 	ready   []*vwaiter
 	timers  timerHeap
-	// intr lists waiters whose block can be broken by a context ending.
-	// Entries are swept (and stale ones compacted away) every time the
-	// scheduler is about to advance model time, and polled on a real
-	// timer when the schedule is otherwise idle, so even a stalled run
-	// can be torn down by a real-time timeout.
-	intr     []*vwaiter
-	idleArm  bool // an idle-poll AfterFunc is pending
+	// intr indexes the waiters whose block can be broken by a context
+	// ending, one bucket per distinct Done channel; a bucket exists
+	// exactly while it has a live waiter. The buckets are swept every
+	// time the scheduler is about to advance model time, and polled on a
+	// real timer when the schedule is otherwise idle, so even a stalled
+	// run can be torn down by a real-time timeout.
+	intr    map[<-chan struct{}]*waitBucket
+	idleArm bool // an idle-poll AfterFunc is pending
 
 	// holder is the goroutine id of the current run-token holder, 0
 	// while the token is in flight or free. Blocking calls compare it
@@ -103,7 +119,7 @@ type vsched struct {
 	holder uint64
 }
 
-func newVsched() *vsched { return &vsched{} }
+func newVsched() *vsched { return &vsched{intr: map[<-chan struct{}]*waitBucket{}} }
 
 // goid parses the current goroutine's id from its runtime.Stack header
 // ("goroutine N [...]"). ~1µs; only virtual-mode scheduler operations
@@ -143,6 +159,49 @@ func (v *vsched) newWaiter() *vwaiter {
 	return &vwaiter{seq: v.seq, grant: make(chan struct{}, 1), state: stBlocked}
 }
 
+// interruptibleLocked makes the blocked waiter w wakeable by ctx ending.
+// A nil or never-ending ctx leaves w uninterruptible.
+func (v *vsched) interruptibleLocked(w *vwaiter, ctx context.Context) {
+	if ctx == nil || ctx.Done() == nil {
+		return
+	}
+	done := ctx.Done()
+	b := v.intr[done]
+	if b == nil {
+		b = &waitBucket{done: done}
+		v.intr[done] = b
+	}
+	b.ws = append(b.ws, w)
+	b.live++
+	w.bucket = b
+}
+
+// unblockLocked moves a blocked waiter to state (stQueued or stGranted).
+// Every transition out of stBlocked except the cancellation sweep goes
+// through here, keeping the bucket's live count exact.
+func (v *vsched) unblockLocked(w *vwaiter, state int) {
+	w.state = state
+	b := w.bucket
+	if b == nil {
+		return
+	}
+	b.live--
+	if b.live == 0 {
+		delete(v.intr, b.done)
+		return
+	}
+	if len(b.ws)-b.live > b.live+bucketSlack {
+		live := b.ws[:0]
+		for _, x := range b.ws {
+			if x.state == stBlocked {
+				live = append(live, x)
+			}
+		}
+		clear(b.ws[len(live):])
+		b.ws = live
+	}
+}
+
 // scheduleLocked hands the run token to the next runnable participant:
 // ready queue first (FIFO), else the earliest pending timer — advancing
 // model time to its deadline. Called with v.mu held and the token free.
@@ -177,7 +236,7 @@ func (v *vsched) scheduleLocked() {
 			if w.at > v.now {
 				v.now = w.at
 			}
-			w.state = stGranted
+			v.unblockLocked(w, stGranted)
 			v.running = true
 			w.grant <- struct{}{}
 			return
@@ -190,32 +249,31 @@ func (v *vsched) scheduleLocked() {
 }
 
 // sweepCancelledLocked moves every interruptible waiter whose context
-// has ended to the ready queue, in registration order, and compacts
-// stale entries. Reports whether any waiter was moved.
+// has ended to the ready queue, in registration order, and drops the
+// ended contexts' buckets. It costs one select per distinct context,
+// not per waiter. Reports whether any waiter was moved.
 func (v *vsched) sweepCancelledLocked() bool {
 	var woken []*vwaiter
-	live := v.intr[:0]
-	for _, w := range v.intr {
-		if w.state != stBlocked {
-			continue // already fired or broadcast; drop the entry
-		}
+	for done, b := range v.intr {
 		select {
-		case <-w.done:
-			w.interrupted = true
-			w.state = stQueued
-			woken = append(woken, w)
+		case <-done:
 		default:
-			live = append(live, w)
+			continue
 		}
+		for _, w := range b.ws {
+			if w.state == stBlocked {
+				w.interrupted = true
+				w.state = stQueued
+				woken = append(woken, w)
+			}
+		}
+		delete(v.intr, done)
 	}
-	for i := len(live); i < len(v.intr); i++ {
-		v.intr[i] = nil
-	}
-	v.intr = live
 	if len(woken) == 0 {
 		return false
 	}
-	sort.Slice(woken, func(i, j int) bool { return woken[i].seq < woken[j].seq })
+	// Each bucket is already in registration order; merge across them.
+	slices.SortFunc(woken, func(a, b *vwaiter) int { return cmp.Compare(a.seq, b.seq) })
 	v.ready = append(v.ready, woken...)
 	return true
 }
@@ -227,17 +285,7 @@ func (v *vsched) sweepCancelledLocked() bool {
 const idlePollInterval = 2 * time.Millisecond
 
 func (v *vsched) armIdlePollLocked() {
-	if v.idleArm {
-		return
-	}
-	blocked := false
-	for _, w := range v.intr {
-		if w.state == stBlocked {
-			blocked = true
-			break
-		}
-	}
-	if !blocked {
+	if v.idleArm || len(v.intr) == 0 {
 		return
 	}
 	v.idleArm = true
@@ -329,10 +377,7 @@ func (v *vsched) sleep(ctx context.Context, seconds float64) error {
 	w := v.newWaiter()
 	w.at = v.now + seconds
 	heap.Push(&v.timers, w)
-	if ctx != nil && ctx.Done() != nil {
-		w.done = ctx.Done()
-		v.intr = append(v.intr, w)
-	}
+	v.interruptibleLocked(w, ctx)
 	if isHolder {
 		v.running = false
 		v.holder = 0
@@ -399,10 +444,7 @@ func (cd *Cond) Wait(ctx context.Context) error {
 	isHolder := v.running && v.holder == gid
 	w := v.newWaiter()
 	cd.waiters = append(cd.waiters, w)
-	if ctx != nil && ctx.Done() != nil {
-		w.done = ctx.Done()
-		v.intr = append(v.intr, w)
-	}
+	v.interruptibleLocked(w, ctx)
 	if isHolder {
 		v.running = false
 		v.holder = 0
@@ -433,7 +475,7 @@ func (cd *Cond) Broadcast() {
 		if w.state != stBlocked {
 			continue // already woken by cancellation
 		}
-		w.state = stQueued
+		v.unblockLocked(w, stQueued)
 		v.ready = append(v.ready, w)
 	}
 	cd.waiters = cd.waiters[:0]

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -277,4 +278,239 @@ func FuzzVirtualSchedule(f *testing.F) {
 			last = w.at
 		}
 	})
+}
+
+// TestVirtualCancelWakesInRegistrationOrder: waiters parked on several
+// contexts, registered interleaved and cancelled together, wake in
+// global registration order — the sweep merges its per-context
+// buckets — and waiters on a context that never ends stay parked.
+func TestVirtualCancelWakesInRegistrationOrder(t *testing.T) {
+	c := NewVirtualClock()
+	cond := c.NewCond()
+	const nctx, n = 4, 24
+	ctxs := make([]context.Context, nctx)
+	cancels := make([]context.CancelFunc, nctx)
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(context.Background())
+	}
+	defer cancels[nctx-1]()
+	var mu sync.Mutex
+	var order []int
+	var wg sync.WaitGroup
+	c.Enter()
+	for i := 0; i < n; i++ {
+		i := i
+		ctx := ctxs[i%nctx]
+		wg.Add(1)
+		c.Go(func() {
+			defer wg.Done()
+			var err error
+			if i%2 == 0 {
+				err = c.SleepCtx(ctx, 100)
+			} else {
+				err = cond.Wait(ctx)
+			}
+			if (err != nil) != (i%nctx != nctx-1) {
+				t.Errorf("waiter %d woke with %v", i, err)
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		})
+	}
+	c.Go(func() {
+		c.Sleep(1)
+		// Cancel out of registration order: the wake order must not care.
+		for _, k := range []int{2, 0, 1} {
+			cancels[k]()
+		}
+		c.Sleep(200) // past every sleeper's deadline
+		cond.Broadcast()
+	})
+	c.Exit()
+	wg.Wait()
+	var want []int
+	for i := 0; i < n; i++ {
+		if i%nctx != nctx-1 {
+			want = append(want, i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if i%nctx == nctx-1 && i%2 == 0 {
+			want = append(want, i) // uncancelled sleepers fire at 100
+		}
+	}
+	for i := 0; i < n; i++ {
+		if i%nctx == nctx-1 && i%2 == 1 {
+			want = append(want, i) // uncancelled Cond waiters: the broadcast
+		}
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("wake order = %v, want %v", order, want)
+	}
+}
+
+// intrBuckets snapshots the scheduler's interruptible index: entries
+// and live count per bucket.
+func intrBuckets(c *Clock) (entries, live []int) {
+	c.v.mu.Lock()
+	defer c.v.mu.Unlock()
+	for _, b := range c.v.intr {
+		entries = append(entries, len(b.ws))
+		live = append(live, b.live)
+	}
+	return entries, live
+}
+
+// TestVirtualBucketStaysCompact: many Wait/Broadcast cycles under one
+// context that never ends leave the context's bucket holding O(live)
+// entries, not one per wait ever made.
+func TestVirtualBucketStaysCompact(t *testing.T) {
+	c := NewVirtualClock()
+	cond := c.NewCond()
+	ctx, cancel := context.WithCancel(context.Background())
+	const waiters, cycles = 5, 400
+	var wg sync.WaitGroup
+	stop := false
+	c.Enter()
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		c.Go(func() {
+			defer wg.Done()
+			for !stop {
+				if err := cond.Wait(ctx); err != nil {
+					t.Errorf("Wait: %v", err)
+					return
+				}
+			}
+		})
+	}
+	wg.Add(1)
+	c.Go(func() { // a live sleeper keeps the bucket alive throughout
+		defer wg.Done()
+		if err := c.SleepCtx(ctx, 1e9); err != context.Canceled {
+			t.Errorf("sleeper woke with %v, want context.Canceled", err)
+		}
+	})
+	c.Go(func() {
+		for j := 0; j < cycles; j++ {
+			c.Sleep(1)
+			cond.Broadcast()
+			entries, live := intrBuckets(c)
+			if len(entries) != 1 {
+				t.Errorf("cycle %d: %d buckets, want 1", j, len(entries))
+				break
+			}
+			if entries[0] > 2*live[0]+bucketSlack {
+				t.Errorf("cycle %d: bucket holds %d entries for %d live waiters", j, entries[0], live[0])
+				break
+			}
+		}
+		stop = true
+		c.Sleep(1)
+		cond.Broadcast()
+		cancel()
+	})
+	c.Exit()
+	wg.Wait()
+	if entries, _ := intrBuckets(c); len(entries) != 0 {
+		t.Fatalf("%d buckets left after the run, want 0", len(entries))
+	}
+}
+
+// TestVirtualBucketDroppedWhenAllWoke: a context whose waiters all woke
+// by timer or broadcast, without ever ending, leaves no bucket behind.
+func TestVirtualBucketDroppedWhenAllWoke(t *testing.T) {
+	c := NewVirtualClock()
+	cond := c.NewCond()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var wg sync.WaitGroup
+	c.Enter()
+	for i := 0; i < 6; i++ {
+		i := i
+		wg.Add(1)
+		c.Go(func() {
+			defer wg.Done()
+			var err error
+			if i%2 == 0 {
+				err = c.SleepCtx(ctx, float64(i+1))
+			} else {
+				err = cond.Wait(ctx)
+			}
+			if err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+			}
+		})
+	}
+	c.Go(func() {
+		c.Sleep(3)
+		if entries, _ := intrBuckets(c); len(entries) != 1 {
+			t.Errorf("%d buckets mid-run, want 1", len(entries))
+		}
+		cond.Broadcast()
+	})
+	c.Exit()
+	wg.Wait()
+	if entries, _ := intrBuckets(c); len(entries) != 0 {
+		t.Fatalf("%d buckets left after every waiter woke, want 0", len(entries))
+	}
+}
+
+// TestVirtualIdlePollTearsDownStall: a run stalled on a Cond nobody
+// will broadcast is torn down when a real-time deadline ends its
+// context — the idle poll notices without any participant running.
+func TestVirtualIdlePollTearsDownStall(t *testing.T) {
+	c := NewVirtualClock()
+	cond := c.NewCond()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	errc := make(chan error, 1)
+	c.Enter()
+	c.Go(func() { errc <- cond.Wait(ctx) })
+	c.Exit()
+	select {
+	case err := <-errc:
+		if err != context.DeadlineExceeded {
+			t.Fatalf("stalled Wait returned %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled run was never torn down")
+	}
+}
+
+// BenchmarkVirtualAdvance measures one model-time advance with many
+// Cond waiters parked on one never-ending context (a session's agents
+// between messages). The cancellation sweep costs one select per
+// distinct context, so ns/op stays flat in the waiter count.
+func BenchmarkVirtualAdvance(b *testing.B) {
+	for _, n := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("waiters=%d", n), func(b *testing.B) {
+			c := NewVirtualClock()
+			cond := c.NewCond()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var wg sync.WaitGroup
+			c.Enter()
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				c.Go(func() {
+					defer wg.Done()
+					_ = cond.Wait(ctx)
+				})
+			}
+			wg.Add(1)
+			c.Go(func() { // runs after every waiter has parked
+				defer wg.Done()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.Sleep(1)
+				}
+				b.StopTimer()
+				cond.Broadcast()
+			})
+			c.Exit()
+			wg.Wait()
+		})
+	}
 }

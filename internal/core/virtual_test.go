@@ -162,24 +162,38 @@ func diamondExecModel(v int, service, latency float64) float64 {
 // fingerprint, and land the clock exactly on the analytic critical-path
 // model time.
 func TestVirtualScaleMesh100x100(t *testing.T) {
+	// 101 cores per node: 10,100 slots for the 10,002 agents.
+	checkVirtualScaleMesh(t, 100, 100, 101, 1, 99)
+}
+
+// TestVirtualScaleMesh200x200: the same checks on a 40,002-agent mesh,
+// which stays cheap only while no scheduler step, translation pass or
+// per-agent setup grows with the agent count.
+func TestVirtualScaleMesh200x200(t *testing.T) {
+	// 400 nodes x 101 cores: 40,400 slots for the 40,002 agents.
+	checkVirtualScaleMesh(t, 200, 200, 101, 1)
+}
+
+// checkVirtualScaleMesh runs an h×v simple diamond on h×v/100 nodes of
+// the given core count once per seed: every task must complete, the
+// converged fingerprint must not depend on the seed, and the clock must
+// land exactly on the analytic critical path.
+func checkVirtualScaleMesh(t *testing.T, h, v, cores int, seeds ...int64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("10k-goroutine scale run under the race detector blows the CI budget")
 	}
 	if testing.Short() {
 		t.Skip("scale test")
 	}
-	const (
-		h, v   = 100, 100
-		agents = h*v + 2 // mesh + split + merge
-		nodes  = 100
-	)
+	agents := h*v + 2 // mesh + split + merge
+	nodes := h * v / 100
 	run := func(seed int64) (*Report, uint64, float64) {
 		m, err := NewManager(Config{
 			Executor: executor.KindSSH,
 			Broker:   mq.KindQueue,
-			// 101 cores per node: 10,100 slots for the 10,002 agents.
-			Cluster: cluster.Config{Nodes: nodes, CoresPerNode: 101, Seed: seed, Virtual: true},
-			Timeout: 5 * time.Minute,
+			Cluster:  cluster.Config{Nodes: nodes, CoresPerNode: cores, Seed: seed, Virtual: true},
+			Timeout:  5 * time.Minute,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -193,14 +207,12 @@ func TestVirtualScaleMesh100x100(t *testing.T) {
 		}
 		rep, err := s.Wait(context.Background())
 		if err != nil {
-			t.Fatalf("100x100 mesh failed: %v", err)
+			t.Fatalf("%dx%d mesh failed: %v", h, v, err)
 		}
 		return rep, s.space.StateFingerprint(), m.cluster.Clock().Now()
 	}
 
-	repA, fpA, nowA := run(1)
-	_, fpB, nowB := run(99)
-
+	repA, fpA, nowA := run(seeds[0])
 	if repA.Agents != agents {
 		t.Errorf("deployed %d agents, want %d", repA.Agents, agents)
 	}
@@ -212,20 +224,23 @@ func TestVirtualScaleMesh100x100(t *testing.T) {
 			t.Errorf("task %s = %v, want completed", task, st)
 		}
 	}
-	// The converged fingerprint reflects workflow state only: a
-	// different seed reshuffles placement and chaos-free hash draws yet
-	// must land on the identical space.
-	if fpA != fpB {
-		t.Errorf("fingerprint depends on the cluster seed: %016x vs %016x", fpA, fpB)
-	}
 	// 0.1 is diamondServices' noop duration, 2.0 the queue broker's
 	// modelled hop latency (mq.DefaultQueueLatency).
 	want := sshDeployModel(nodes, agents) + diamondExecModel(v, 0.1, mq.DefaultQueueLatency)
 	if math.Abs(nowA-want) > 1e-6 {
 		t.Errorf("final model time %v, analytic critical path %v", nowA, want)
 	}
-	if nowA != nowB {
-		t.Errorf("final model time differs across seeds: %v vs %v", nowA, nowB)
+	for _, seed := range seeds[1:] {
+		_, fpB, nowB := run(seed)
+		// The converged fingerprint reflects workflow state only: a
+		// different seed reshuffles placement and chaos-free hash draws
+		// yet must land on the identical space.
+		if fpA != fpB {
+			t.Errorf("fingerprint depends on the cluster seed: %016x vs %016x", fpA, fpB)
+		}
+		if nowA != nowB {
+			t.Errorf("final model time differs across seeds: %v vs %v", nowA, nowB)
+		}
 	}
 }
 

@@ -3,19 +3,24 @@ package hoclflow
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"ginflow/internal/hocl"
 )
+
+// The generic rules below are constant: each is parsed once and every
+// caller shares the one *hocl.Rule. Rules are immutable and compile
+// their programs once under concurrency, so engines share them freely.
 
 // GwSetup returns the paper's gw_setup rule (Fig. 4, lines 4.01-4.03):
 // once every dependency is satisfied (SRC is empty), assemble the
 // parameter list from the accumulated inputs.
 //
 //	replace-one SRC:<>, IN:<*w> by SRC:<>, PAR:list(*w)
-func GwSetup() *hocl.Rule {
+var GwSetup = sync.OnceValue(func() *hocl.Rule {
 	return hocl.MustParseRuleBody(RuleGwSetup,
 		`replace-one SRC:<>, IN:<*w> by SRC:<>, PAR:list(*w)`, nil)
-}
+})
 
 // GwCall returns the paper's gw_call rule (Fig. 4, lines 4.04-4.06):
 // invoke the service with the assembled parameters and store the result.
@@ -24,10 +29,10 @@ func GwSetup() *hocl.Rule {
 //
 //	replace-one SRC:<>, SRV:s, PAR:p, RES:<*w>
 //	by SRC:<>, SRV:s, RES:<invoke(s, p), *w>
-func GwCall() *hocl.Rule {
+var GwCall = sync.OnceValue(func() *hocl.Rule {
 	return hocl.MustParseRuleBody(RuleGwCall,
 		`replace-one SRC:<>, SRV:s, PAR:p, RES:<*w> by SRC:<>, SRV:s, RES:<invoke(s, p), *w>`, nil)
-}
+})
 
 // GwPass returns the paper's gw_pass rule (Fig. 4, lines 4.07-4.11) for
 // centralized execution: it moves a produced result from a source task's
@@ -40,12 +45,12 @@ func GwCall() *hocl.Rule {
 //	by      ti:<RES:<r, *res>, DST:<*dst>, *oi>,
 //	        tj:<SRC:<*src>, IN:<r, *res, *win>, *oj>
 //	if !(r == ERROR)
-func GwPass() *hocl.Rule {
+var GwPass = sync.OnceValue(func() *hocl.Rule {
 	return hocl.MustParseRuleBody(RuleGwPass,
 		`replace ti:<RES:<r, *res>, DST:<tj, *dst>, *oi>, tj:<SRC:<ti, *src>, IN:<*win>, *oj>
 		 by ti:<RES:<r, *res>, DST:<*dst>, *oi>, tj:<SRC:<*src>, IN:<r, *res, *win>, *oj>
 		 if !(r == ERROR)`, nil)
-}
+})
 
 // GwSend returns the decentralised sender half of gw_pass (§IV-A): "once
 // the result of the invocation ... is collected, a SA triggers a local
@@ -57,10 +62,10 @@ func GwPass() *hocl.Rule {
 //	replace RES:<r, *res>, DST:<d, *dst>
 //	by RES:<r, *res>, DST:<*dst>, send(d, r, *res)
 //	if !(r == ERROR)
-func GwSend() *hocl.Rule {
+var GwSend = sync.OnceValue(func() *hocl.Rule {
 	return hocl.MustParseRuleBody(RuleGwSend,
 		`replace RES:<r, *res>, DST:<d, *dst> by RES:<r, *res>, DST:<*dst>, send(d, r, *res) if !(r == ERROR)`, nil)
-}
+})
 
 // GwRecv returns the decentralised receiver half of gw_pass: a PASS
 // message from source t satisfies the matching dependency and feeds the
@@ -71,10 +76,10 @@ func GwSend() *hocl.Rule {
 //
 //	replace PASS:t:<*res>, SRC:<t, *src>, IN:<*win>
 //	by SRC:<*src>, IN:<*res, *win>
-func GwRecv() *hocl.Rule {
+var GwRecv = sync.OnceValue(func() *hocl.Rule {
 	return hocl.MustParseRuleBody(RuleGwRecv,
 		`replace PASS:t:<*res>, SRC:<t, *src>, IN:<*win> by SRC:<*src>, IN:<*res, *win>`, nil)
-}
+})
 
 // GwGc returns the stale-PASS collector: once a task has invoked its
 // service (RES holds a result, so no further input can ever be
@@ -90,10 +95,10 @@ func GwRecv() *hocl.Rule {
 //
 //	replace PASS:t:<*res>, SRC:<>, RES:<r, *rest>
 //	by SRC:<>, RES:<r, *rest>
-func GwGc() *hocl.Rule {
+var GwGc = sync.OnceValue(func() *hocl.Rule {
 	return hocl.MustParseRuleBody(RuleGwGc,
 		`replace PASS:t:<*res>, SRC:<>, RES:<r, *rest> by SRC:<>, RES:<r, *rest>`, nil)
-}
+})
 
 // PassMessage builds the molecule carried by a result transfer from task
 // src: PASS:src:<res...>. The carried solution is marked inert at build

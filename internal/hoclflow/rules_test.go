@@ -466,3 +466,20 @@ func TestLocalSolutionHasName(t *testing.T) {
 		t.Errorf("SubSolution must not carry NAME, got %q", got)
 	}
 }
+
+// TestGenericRulesBuiltOnce: the constant generic rules are built once
+// and shared, so every call returns the same rule.
+func TestGenericRulesBuiltOnce(t *testing.T) {
+	for name, build := range map[string]func() *hocl.Rule{
+		RuleGwSetup: GwSetup, RuleGwCall: GwCall, RuleGwPass: GwPass,
+		RuleGwSend: GwSend, RuleGwRecv: GwRecv, RuleGwGc: GwGc,
+	} {
+		r := build()
+		if r.Name != name {
+			t.Errorf("%s builder returned rule %q", name, r.Name)
+		}
+		if build() != r {
+			t.Errorf("%s: two calls returned different rules", name)
+		}
+	}
+}

@@ -76,16 +76,16 @@ func (st *taskState) ensureHashed() {
 
 // Space is the shared multiset. It is safe for concurrent use.
 type Space struct {
-	mu        sync.Mutex
-	tasks     map[string]*taskState // task name -> latest sub-solution
-	markers   []hocl.Atom           // TRIGGER markers and other global molecules
-	changed   chan struct{}
+	mu      sync.Mutex
+	tasks   map[string]*taskState // task name -> latest sub-solution
+	markers []hocl.Atom           // TRIGGER markers and other global molecules
+	changed chan struct{}
 	// cond, set by SetClock on a virtual clock, is the scheduler-aware
 	// update signal: a single-run-token schedule cannot express the
 	// changed-channel rendezvous, so virtual-mode waiters park on the
 	// Cond and every update broadcasts it (alongside the channel, which
 	// real-mode waiters keep using).
-	cond *cluster.Cond
+	cond      *cluster.Cond
 	updates   int64
 	malformed int
 

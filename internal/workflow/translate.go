@@ -99,11 +99,22 @@ func (d *Definition) adaptationRoles(central bool) (map[string]*rolePlan, []*hoc
 // main tasks (Src derived from the DAG) and replacement tasks (Src/Dst
 // from the normalised adaptation wiring).
 func (d *Definition) taskAttrs() []hoclflow.TaskAttrs {
+	// One pass over the edges builds every main task's Src, in the
+	// sorted order SrcOf returns.
+	preds := map[string][]string{}
+	for _, t := range d.Tasks {
+		for _, dst := range t.Dst {
+			preds[dst] = append(preds[dst], t.ID)
+		}
+	}
+	for _, src := range preds {
+		sort.Strings(src)
+	}
 	var out []hoclflow.TaskAttrs
 	for _, t := range d.Tasks {
 		out = append(out, hoclflow.TaskAttrs{
 			Name:    t.ID,
-			Src:     d.SrcOf(t.ID),
+			Src:     preds[t.ID],
 			Dst:     append([]string(nil), t.Dst...),
 			Service: t.Service,
 			In:      strAtoms(t.In),
