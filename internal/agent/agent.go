@@ -136,7 +136,8 @@ type Agent struct {
 	sub     *mq.Subscription
 	// runCtx is the context of the active Run, consulted by invoke so a
 	// cancelled agent abandons its in-flight modelled invocation instead
-	// of sleeping it out.
+	// of sleeping it out, and passed with every publish: under a virtual
+	// clock it carries the agent's participant handle.
 	runCtx context.Context
 
 	// statusEnc delta-encodes status pushes: the first push of this
@@ -213,15 +214,19 @@ func (a *Agent) Local() *hocl.Solution { return a.local }
 
 func (a *Agent) clock() *cluster.Clock { return a.cfg.Cluster.Clock() }
 
+// ctx returns the active Run's context (Background outside Run).
+func (a *Agent) ctx() context.Context {
+	if a.runCtx == nil {
+		return context.Background()
+	}
+	return a.runCtx
+}
+
 // sleep charges a modelled duration, interruptible by the active Run's
 // context: a cancelled agent abandons the invocation mid-sleep, so
 // session teardown never waits out long in-flight services.
 func (a *Agent) sleep(modelSeconds float64) error {
-	ctx := a.runCtx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return a.clock().SleepCtx(ctx, modelSeconds)
+	return a.clock().SleepCtx(a.ctx(), modelSeconds)
 }
 
 func (a *Agent) inboxTopic() string { return Topic(a.cfg.TopicPrefix, a.name) }
@@ -372,6 +377,10 @@ func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 	}
 	topic := Topic(a.cfg.TopicPrefix, string(dst))
 	payload := a.stampSeq(topic, hoclflow.PassMessage(a.name, hocl.SnapshotAtoms(args[1:])))
+	// gw_send only ships a non-ERROR result, so the task has completed:
+	// say so before the result can reach a successor, which may complete
+	// in turn before this reduction returns.
+	a.markCompleted()
 	a.publishWithLatency(topic, payload, a.linkLatencyTo(string(dst)))
 	a.sends.Add(1)
 	a.cfg.Trace.Record(trace.ResultSent, a.name, a.cfg.Incarnation, string(dst))
@@ -435,15 +444,16 @@ func (a *Agent) linkLatencyTo(peer string) float64 {
 }
 
 // publishWithLatency ships a structural payload after the given link
-// latency without blocking the reduction.
+// latency without blocking the reduction: a delayed publish runs as a
+// participant of its own, outliving the agent's cancellation.
 func (a *Agent) publishWithLatency(topic string, atoms []hocl.Atom, latency float64) {
 	if latency <= 0 {
-		_ = a.cfg.Broker.PublishAtoms(topic, atoms)
+		_ = a.cfg.Broker.PublishAtomsCtx(a.ctx(), topic, atoms)
 		return
 	}
-	a.clock().Go(func() {
-		a.clock().Sleep(latency)
-		_ = a.cfg.Broker.PublishAtoms(topic, atoms)
+	a.clock().GoCtx(context.Background(), func(ctx context.Context) {
+		_ = a.clock().SleepCtx(ctx, latency)
+		_ = a.cfg.Broker.PublishAtomsCtx(ctx, topic, atoms)
 	})
 }
 
@@ -473,7 +483,7 @@ func (a *Agent) pushStatus() {
 	if payload == nil {
 		return
 	}
-	_ = a.cfg.Broker.PublishAtoms(a.spaceTopic(), payload)
+	_ = a.cfg.Broker.PublishAtomsCtx(a.ctx(), a.spaceTopic(), payload)
 }
 
 // reduce runs the interpreter over the local solution and pushes status.
@@ -483,11 +493,18 @@ func (a *Agent) reduce() error {
 		return err
 	}
 	if !a.completedSeen && hoclflow.StatusOf(a.local) == hoclflow.StatusCompleted {
-		a.completedSeen = true
-		a.cfg.Trace.Record(trace.TaskCompleted, a.name, a.cfg.Incarnation, "")
+		a.markCompleted()
 	}
 	a.pushStatus()
 	return nil
+}
+
+// markCompleted records this incarnation's TaskCompleted event once.
+func (a *Agent) markCompleted() {
+	if !a.completedSeen {
+		a.completedSeen = true
+		a.cfg.Trace.Record(trace.TaskCompleted, a.name, a.cfg.Incarnation, "")
+	}
 }
 
 // ingest folds a message into the local solution. Structural payloads

@@ -44,8 +44,8 @@ func NewClock(scale time.Duration) *Clock {
 // park the calling participant with the scheduler instead of sleeping
 // real time, and Now() jumps to the earliest pending deadline whenever
 // every participant is blocked. Goroutines using a virtual clock must
-// join the schedule via Enter/Go and only block through the clock (or a
-// Cond); see vclock.go.
+// join the schedule via GoCtx (or Go/Enter) and only block through the
+// clock (or a Cond); see vclock.go.
 func NewVirtualClock() *Clock {
 	return &Clock{scale: DefaultScale, v: newVsched()}
 }
@@ -57,7 +57,10 @@ func (c *Clock) Virtual() bool { return c.v != nil }
 func (c *Clock) Scale() time.Duration { return c.scale }
 
 // Sleep blocks for the scaled equivalent of the given model seconds.
-// Negative or zero durations return immediately.
+// Negative or zero durations return immediately. On a virtual clock
+// Sleep carries no participant handle: it is the sleep of an anonymous
+// participant holding the token (Go, Enter) or else of an outside
+// caller. A GoCtx participant sleeps with SleepCtx on its context.
 func (c *Clock) Sleep(modelSeconds float64) {
 	if c.v != nil {
 		c.v.sleep(nil, modelSeconds)
@@ -72,7 +75,11 @@ func (c *Clock) Sleep(modelSeconds float64) {
 // SleepCtx blocks like Sleep but returns early with ctx.Err() when the
 // context ends first — the interruption point that lets a cancelled
 // workflow session release its agents without draining their in-flight
-// modelled invocations.
+// modelled invocations. On a virtual clock ctx also names the caller:
+// a context derived from a GoCtx participant's carries its handle, and
+// the call must then come from that participant while it holds the run
+// token (anything else panics). context.WithoutCancel keeps the handle
+// for an uninterruptible sleep.
 func (c *Clock) SleepCtx(ctx context.Context, modelSeconds float64) error {
 	if c.v != nil {
 		return c.v.sleep(ctx, modelSeconds)
@@ -99,44 +106,56 @@ func (c *Clock) Now() float64 {
 	return float64(time.Since(c.start)) / float64(c.scale)
 }
 
-// Enter joins the calling goroutine to a virtual clock's schedule as a
-// participant, blocking until it is granted the run token. A real-mode
-// clock ignores the call. Pair with Exit.
+// Enter joins the calling goroutine to a virtual clock's schedule as an
+// anonymous participant, blocking until it is granted the run token. It
+// gets no handle: while it holds the token, blocking calls that carry
+// none are its own. Use it only where no outside caller blocks on the
+// same clock meanwhile (tests, tools owning a private clock), since
+// such a caller's handle-less call would be taken for the participant's.
+// A real-mode clock ignores the call. Pair with Exit.
 func (c *Clock) Enter() {
 	if c.v != nil {
 		c.v.enter()
 	}
 }
 
-// Exit removes the calling participant from a virtual clock's schedule,
-// releasing the run token. After Exit the goroutine may block on
+// Exit removes the anonymous participant holding a virtual clock's run
+// token from the schedule, releasing the token; it panics when the
+// holder is not anonymous. After Exit the goroutine may block on
 // anything (real channels, WaitGroups) without stalling model time, and
 // may rejoin later with Enter. A real-mode clock ignores the call.
 func (c *Clock) Exit() {
 	if c.v != nil {
-		c.v.exit()
+		c.v.exit(nil)
 	}
 }
 
 // Go spawns fn on a new goroutine. Under a virtual clock the goroutine
-// is registered as a schedule participant before Go returns (sibling
-// start order is the Go call order — deterministic); under a real clock
-// it is a plain `go fn()`.
+// is registered as an anonymous schedule participant before Go returns
+// (sibling start order is the Go call order — deterministic; see Enter
+// for what anonymous means); under a real clock it is a plain `go fn()`.
 func (c *Clock) Go(fn func()) {
 	if c.v != nil {
-		c.v.goRun(fn)
+		c.v.goRun(c.v.newPart(context.Background(), true), func(context.Context) { fn() })
 		return
 	}
 	go fn()
 }
 
-// Yield lets every other runnable participant proceed before the caller
-// continues (virtual mode; real mode is a no-op). Model time does not
-// advance: the caller re-queues behind the current ready set.
-func (c *Clock) Yield() {
+// GoCtx spawns fn on a new goroutine, passing it a context derived from
+// ctx. Under a virtual clock the goroutine is registered as a schedule
+// participant before GoCtx returns (sibling start order is the call
+// order), and the derived context carries its participant handle: every
+// blocking call fn makes on this clock — SleepCtx, Cond.Wait, and the
+// broker, space and journal calls built on them — must pass that
+// context or one derived from it, so the scheduler knows the caller
+// holds the run token. Under a real clock fn runs as `go fn(ctx)`.
+func (c *Clock) GoCtx(ctx context.Context, fn func(context.Context)) {
 	if c.v != nil {
-		c.v.yield()
+		c.v.goRun(c.v.newPart(ctx, false), fn)
+		return
 	}
+	go fn(ctx)
 }
 
 // AdvanceTo moves a virtual clock's model time forward by hand without

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -32,136 +30,256 @@ import (
 // The cost of the discipline is that an accounting mistake manifests
 // as a deterministic hang (debuggable), never as a flaky timestamp.
 
-// waiter states. A waiter is created per blocking call, lives in at
-// most one of the timer heap / a Cond's list plus optionally its
-// context's interruptible bucket, and is granted the run token exactly
-// once.
+// Participant states. A participant blocks on one thing at a time: a
+// block parks it on the timer heap or a Cond (plus, optionally, its
+// context's interruptible bucket), and it is granted the run token
+// exactly once per block.
 const (
 	stBlocked = iota // parked on a timer deadline or a Cond
 	stQueued         // moved to the ready queue, awaiting the token
 	stGranted        // token sent; the goroutine is (about to be) running
 )
 
-type vwaiter struct {
-	seq   uint64        // registration order — the deterministic tie-breaker
-	at    float64       // timer deadline in model seconds (timer waiters)
-	grant chan struct{} // buffered(1); a send transfers the run token
-	state int
+// partKey is the context key under which a participant's ctx carries
+// its handle.
+type partKey struct{}
 
-	// interrupted reports that the waiter was woken by its context
-	// ending rather than by its timer/Cond. Written under the scheduler
-	// lock before the grant send, read by the woken goroutine after the
-	// grant receive.
+// vpart is a participant handle. Clock.GoCtx hands it to the spawned
+// function as its context: the handle answers Value(partKey{}) with
+// itself and delegates everything else (deadline, cancellation, other
+// values) to the parent context it was spawned with. Blocking calls
+// find it with handleOf and compare it against the scheduler's holder.
+//
+// The per-block fields are reused by every block, so blocking
+// allocates nothing; the heap, Cond and bucket entries a block leaves
+// behind are recognised as stale by their sequence number.
+type vpart struct {
+	context.Context
+	v *vsched
+	// anon marks a participant started by Clock.Go or Clock.Enter,
+	// whose code cannot see its handle: a handle-less call made while it
+	// holds the token is taken to be its own.
+	anon  bool
+	grant chan struct{} // buffered(1); a send transfers the run token
+
+	seq   uint64 // registration order of the current block — the tie-breaker
+	state int
+	// interrupted reports that the block ended because its context did.
+	// Written under the scheduler lock before the grant send, read by the
+	// woken goroutine after the grant receive.
 	interrupted bool
 	bucket      *waitBucket // the ctx.Done() bucket; nil when not interruptible
 }
 
-// waitBucket holds the interruptible waiters parked on one ctx.Done()
+// Value answers the participant key with the handle itself.
+func (p *vpart) Value(key any) any {
+	if key == (partKey{}) {
+		return p
+	}
+	return p.Context.Value(key)
+}
+
+func (v *vsched) newPart(ctx context.Context, anon bool) *vpart {
+	return &vpart{Context: ctx, v: v, anon: anon, grant: make(chan struct{}, 1)}
+}
+
+// handleOf returns the participant handle ctx carries, or nil.
+func handleOf(ctx context.Context) *vpart {
+	if ctx == nil {
+		return nil
+	}
+	p, _ := ctx.Value(partKey{}).(*vpart)
+	return p
+}
+
+// blockRef names one block of a participant; it is live while the
+// participant is still parked in that block.
+type blockRef struct {
+	p   *vpart
+	seq uint64
+}
+
+func (r blockRef) live() bool { return r.p.state == stBlocked && r.p.seq == r.seq }
+
+// waitBucket holds the interruptible blocks parked on one ctx.Done()
 // channel, in registration order. live counts the entries still
-// stBlocked; the rest are stale and compacted away once they outnumber
+// blocked; the rest are stale and compacted away once they outnumber
 // the live ones by more than bucketSlack, so a bucket holds O(live)
 // entries however many waits cycle through it.
 type waitBucket struct {
 	done <-chan struct{}
-	ws   []*vwaiter
+	ws   []blockRef
 	live int
 }
 
 const bucketSlack = 8
 
-// timerHeap orders waiters by (deadline, registration seq).
-type timerHeap []*vwaiter
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// timerEntry is one timer-heap entry, ordered by (at, seq).
+type timerEntry struct {
+	at  float64
+	seq uint64
+	p   *vpart
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*vwaiter)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
+
+func (a timerEntry) before(b timerEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // vsched is the discrete-event scheduler state shared by one virtual
 // Clock and all its participants.
 type vsched struct {
-	mu      sync.Mutex
-	now     float64
-	seq     uint64
-	running bool // the run token is held by some participant
-	ready   []*vwaiter
-	timers  timerHeap
-	// intr indexes the waiters whose block can be broken by a context
-	// ending, one bucket per distinct Done channel; a bucket exists
-	// exactly while it has a live waiter. The buckets are swept every
-	// time the scheduler is about to advance model time, and polled on a
-	// real timer when the schedule is otherwise idle, so even a stalled
-	// run can be torn down by a real-time timeout.
+	mu     sync.Mutex
+	now    float64
+	seq    uint64
+	ready  []*vpart // FIFO from rhead
+	rhead  int
+	timers []timerEntry // min-heap by (at, seq)
+	// intr indexes the blocks that a context ending can break, one
+	// bucket per distinct Done channel; a bucket exists exactly while it
+	// has a live block. The buckets are swept every time the scheduler
+	// is about to advance model time, and polled on a real timer when
+	// the schedule is otherwise idle, so even a stalled run can be torn
+	// down by a real-time timeout.
 	intr    map[<-chan struct{}]*waitBucket
 	idleArm bool // an idle-poll AfterFunc is pending
 
-	// holder is the goroutine id of the current run-token holder, 0
-	// while the token is in flight or free. Blocking calls compare it
-	// against their own goid: a call from any other goroutine is an
-	// *outside* caller — it did not hold the token, must not free it,
-	// and joins the schedule only for the duration of its block (the
-	// token is handed straight back on wake). This is what makes
-	// clock.Sleep safe from goroutines that never entered the schedule,
-	// e.g. a journal retry backoff on the Submit caller's goroutine.
-	holder uint64
+	// holder is the participant holding the run token, nil while the
+	// token is free. The scheduler sets it when it grants the token,
+	// under the lock it already holds, so a woken participant runs
+	// without re-locking. A blocking call whose ctx carries a handle
+	// must come from the holder (anything else panics); a call with no
+	// handle belongs to the holder only when the holder is anonymous
+	// (Clock.Go, Clock.Enter), and is otherwise an outside caller that
+	// joins the schedule for the length of its block and hands the
+	// token straight back on wake.
+	holder *vpart
 }
 
 func newVsched() *vsched { return &vsched{intr: map[<-chan struct{}]*waitBucket{}} }
 
-// goid parses the current goroutine's id from its runtime.Stack header
-// ("goroutine N [...]"). ~1µs; only virtual-mode scheduler operations
-// pay it.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// claim records the calling goroutine as the token holder; called
-// immediately after every grant receive.
-func (v *vsched) claim(gid uint64) {
-	v.mu.Lock()
-	v.holder = gid
-	v.mu.Unlock()
+// grantLocked hands the run token to p.
+func (v *vsched) grantLocked(p *vpart) {
+	p.state = stGranted
+	v.holder = p
+	p.grant <- struct{}{}
 }
 
 // releaseLocked frees the run token and hands it to the next runnable
 // participant. Callers hold v.mu.
 func (v *vsched) releaseLocked() {
-	v.running = false
-	v.holder = 0
+	v.holder = nil
 	v.scheduleLocked()
 }
 
-func (v *vsched) newWaiter() *vwaiter {
-	v.seq++
-	return &vwaiter{seq: v.seq, grant: make(chan struct{}, 1), state: stBlocked}
+func (v *vsched) popReadyLocked() *vpart {
+	p := v.ready[v.rhead]
+	v.ready[v.rhead] = nil
+	v.rhead++
+	switch {
+	case v.rhead == len(v.ready):
+		v.ready, v.rhead = v.ready[:0], 0
+	case v.rhead > len(v.ready)/2 && v.rhead > 64:
+		n := copy(v.ready, v.ready[v.rhead:])
+		clear(v.ready[n:])
+		v.ready, v.rhead = v.ready[:n], 0
+	}
+	return p
 }
 
-// interruptibleLocked makes the blocked waiter w wakeable by ctx ending.
-// A nil or never-ending ctx leaves w uninterruptible.
-func (v *vsched) interruptibleLocked(w *vwaiter, ctx context.Context) {
+func (v *vsched) pushTimerLocked(e timerEntry) {
+	h := append(v.timers, e)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	v.timers = h
+}
+
+func (v *vsched) popTimerLocked() timerEntry {
+	h := v.timers
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = timerEntry{}
+	h = h[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && h[r].before(h[l]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	v.timers = h
+	return top
+}
+
+// callerLocked resolves who makes a blocking call carrying handle h:
+// the holder (h itself, or the anonymous holder when h is nil), or an
+// outside caller, which gets a one-off participant and holds == false.
+// A handle of another clock counts as none.
+func (v *vsched) callerLocked(h *vpart) (p *vpart, holds bool) {
+	if h != nil && h.v == v {
+		if h != v.holder {
+			v.mu.Unlock()
+			panic("cluster: virtual-clock block with the handle of a participant that does not hold the run token (a participant's context used from another goroutine?)")
+		}
+		return h, true
+	}
+	if v.holder != nil && v.holder.anon {
+		return v.holder, true
+	}
+	return v.newPart(context.Background(), false), false
+}
+
+// blockLocked starts a new block for p: a fresh registration sequence
+// and cleared per-block state.
+func (v *vsched) blockLocked(p *vpart) {
+	v.seq++
+	p.seq = v.seq
+	p.state = stBlocked
+	p.interrupted = false
+	p.bucket = nil
+}
+
+// parkLocked releases the token if p held it, runs the scheduler and
+// waits for p's grant; an outside caller hands the token straight back.
+// It unlocks v.mu. The error is ctx's when the block was interrupted.
+func (v *vsched) parkLocked(ctx context.Context, p *vpart, holds bool) error {
+	if holds {
+		v.holder = nil
+	}
+	v.scheduleLocked()
+	v.mu.Unlock()
+	<-p.grant
+	if !holds {
+		v.mu.Lock()
+		v.releaseLocked()
+		v.mu.Unlock()
+	}
+	if p.interrupted {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// interruptibleLocked makes p's current block wakeable by ctx ending.
+// A nil or never-ending ctx leaves it uninterruptible.
+func (v *vsched) interruptibleLocked(p *vpart, ctx context.Context) {
 	if ctx == nil || ctx.Done() == nil {
 		return
 	}
@@ -171,17 +289,17 @@ func (v *vsched) interruptibleLocked(w *vwaiter, ctx context.Context) {
 		b = &waitBucket{done: done}
 		v.intr[done] = b
 	}
-	b.ws = append(b.ws, w)
+	b.ws = append(b.ws, blockRef{p, p.seq})
 	b.live++
-	w.bucket = b
+	p.bucket = b
 }
 
-// unblockLocked moves a blocked waiter to state (stQueued or stGranted).
-// Every transition out of stBlocked except the cancellation sweep goes
-// through here, keeping the bucket's live count exact.
-func (v *vsched) unblockLocked(w *vwaiter, state int) {
-	w.state = state
-	b := w.bucket
+// unblockLocked moves a blocked participant to state (stQueued or
+// stGranted). Every transition out of stBlocked except the cancellation
+// sweep goes through here, keeping the bucket's live count exact.
+func (v *vsched) unblockLocked(p *vpart, state int) {
+	p.state = state
+	b := p.bucket
 	if b == nil {
 		return
 	}
@@ -192,9 +310,9 @@ func (v *vsched) unblockLocked(w *vwaiter, state int) {
 	}
 	if len(b.ws)-b.live > b.live+bucketSlack {
 		live := b.ws[:0]
-		for _, x := range b.ws {
-			if x.state == stBlocked {
-				live = append(live, x)
+		for _, r := range b.ws {
+			if r.live() {
+				live = append(live, r)
 			}
 		}
 		clear(b.ws[len(live):])
@@ -204,21 +322,11 @@ func (v *vsched) unblockLocked(w *vwaiter, state int) {
 
 // scheduleLocked hands the run token to the next runnable participant:
 // ready queue first (FIFO), else the earliest pending timer — advancing
-// model time to its deadline. Called with v.mu held and the token free.
+// model time to its deadline. Called with v.mu held.
 func (v *vsched) scheduleLocked() {
-	for {
-		if v.running {
-			return
-		}
-		if len(v.ready) > 0 {
-			w := v.ready[0]
-			v.ready = v.ready[1:]
-			if len(v.ready) == 0 {
-				v.ready = nil
-			}
-			w.state = stGranted
-			v.running = true
-			w.grant <- struct{}{}
+	for v.holder == nil {
+		if v.rhead < len(v.ready) {
+			v.grantLocked(v.popReadyLocked())
 			return
 		}
 		// About to advance time: first honour any cancellations that
@@ -228,43 +336,42 @@ func (v *vsched) scheduleLocked() {
 		if v.sweepCancelledLocked() {
 			continue
 		}
-		for v.timers.Len() > 0 {
-			w := heap.Pop(&v.timers).(*vwaiter)
-			if w.state != stBlocked {
+		for len(v.timers) > 0 {
+			e := v.popTimerLocked()
+			if !(blockRef{e.p, e.seq}).live() {
 				continue // cancelled or already woken; heap entry is stale
 			}
-			if w.at > v.now {
-				v.now = w.at
+			if e.at > v.now {
+				v.now = e.at
 			}
-			v.unblockLocked(w, stGranted)
-			v.running = true
-			w.grant <- struct{}{}
+			v.unblockLocked(e.p, stGranted)
+			v.grantLocked(e.p)
 			return
 		}
-		// Idle. If interruptible waiters remain, a real-time timeout may
+		// Idle. If interruptible blocks remain, a real-time timeout may
 		// still cancel them (a stalled run being torn down) — poll.
 		v.armIdlePollLocked()
 		return
 	}
 }
 
-// sweepCancelledLocked moves every interruptible waiter whose context
+// sweepCancelledLocked moves every interruptible block whose context
 // has ended to the ready queue, in registration order, and drops the
 // ended contexts' buckets. It costs one select per distinct context,
-// not per waiter. Reports whether any waiter was moved.
+// not per waiter. Reports whether any participant was moved.
 func (v *vsched) sweepCancelledLocked() bool {
-	var woken []*vwaiter
+	var woken []*vpart
 	for done, b := range v.intr {
 		select {
 		case <-done:
 		default:
 			continue
 		}
-		for _, w := range b.ws {
-			if w.state == stBlocked {
-				w.interrupted = true
-				w.state = stQueued
-				woken = append(woken, w)
+		for _, r := range b.ws {
+			if r.live() {
+				r.p.interrupted = true
+				r.p.state = stQueued
+				woken = append(woken, r.p)
 			}
 		}
 		delete(v.intr, done)
@@ -273,7 +380,7 @@ func (v *vsched) sweepCancelledLocked() bool {
 		return false
 	}
 	// Each bucket is already in registration order; merge across them.
-	slices.SortFunc(woken, func(a, b *vwaiter) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(woken, func(a, b *vpart) int { return cmp.Compare(a.seq, b.seq) })
 	v.ready = append(v.ready, woken...)
 	return true
 }
@@ -292,7 +399,7 @@ func (v *vsched) armIdlePollLocked() {
 	time.AfterFunc(idlePollInterval, func() {
 		v.mu.Lock()
 		v.idleArm = false
-		if !v.running && len(v.ready) == 0 && v.timers.Len() == 0 {
+		if v.holder == nil && v.rhead == len(v.ready) && len(v.timers) == 0 {
 			if v.sweepCancelledLocked() {
 				v.scheduleLocked()
 			} else {
@@ -303,65 +410,51 @@ func (v *vsched) armIdlePollLocked() {
 	})
 }
 
-// enter registers the calling goroutine as a participant and blocks
-// until it is granted the run token.
-func (v *vsched) enter() {
-	gid := goid()
+// start queues p as a new participant. The registration is synchronous
+// (so sibling order is the call order); p runs once granted the token.
+func (v *vsched) start(p *vpart) {
 	v.mu.Lock()
-	w := v.newWaiter()
-	w.state = stQueued
-	v.ready = append(v.ready, w)
-	v.scheduleLocked()
+	v.seq++
+	p.seq = v.seq
+	p.state = stQueued
+	v.ready = append(v.ready, p)
+	v.scheduleLocked() // no-op when the caller holds the token
 	v.mu.Unlock()
-	<-w.grant
-	v.claim(gid)
 }
 
-// exit releases the run token without re-queuing: the participant is
-// leaving the schedule.
-func (v *vsched) exit() {
+// enter joins the calling goroutine as an anonymous participant and
+// blocks until it is granted the run token.
+func (v *vsched) enter() {
+	p := v.newPart(context.Background(), true)
+	v.start(p)
+	<-p.grant
+}
+
+// exit releases the run token held by p, which leaves the schedule.
+// A nil p is the anonymous holder (Clock.Exit).
+func (v *vsched) exit(p *vpart) {
 	v.mu.Lock()
+	if h := v.holder; h == nil || (p == nil && !h.anon) || (p != nil && h != p) {
+		v.mu.Unlock()
+		panic("cluster: Exit by a goroutine that does not hold the run token")
+	}
 	v.releaseLocked()
 	v.mu.Unlock()
 }
 
-// goRun spawns fn as a new participant. The spawn is queued
-// synchronously (so sibling order is the call order); fn starts running
-// once the scheduler grants it the token.
-func (v *vsched) goRun(fn func()) {
-	v.mu.Lock()
-	w := v.newWaiter()
-	w.state = stQueued
-	v.ready = append(v.ready, w)
-	v.scheduleLocked() // no-op when the caller holds the token
-	v.mu.Unlock()
+// goRun spawns fn as a new participant whose context is p.
+func (v *vsched) goRun(p *vpart, fn func(context.Context)) {
+	v.start(p)
 	go func() {
-		<-w.grant
-		v.claim(goid())
-		fn()
-		v.exit()
+		<-p.grant
+		fn(p)
+		v.exit(p)
 	}()
-}
-
-// yield moves the caller to the back of the ready queue, letting every
-// other runnable participant proceed first.
-func (v *vsched) yield() {
-	gid := goid()
-	v.mu.Lock()
-	w := v.newWaiter()
-	w.state = stQueued
-	v.ready = append(v.ready, w)
-	v.running = false
-	v.holder = 0
-	v.scheduleLocked()
-	v.mu.Unlock()
-	<-w.grant
-	v.claim(gid)
 }
 
 // sleep parks the caller until now+seconds, or until ctx ends.
 // Non-positive durations return immediately, matching the real clock.
-// ctx may be nil (uninterruptible).
+// ctx may be nil (uninterruptible, no handle).
 func (v *vsched) sleep(ctx context.Context, seconds float64) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -371,33 +464,13 @@ func (v *vsched) sleep(ctx context.Context, seconds float64) error {
 	if seconds <= 0 {
 		return nil
 	}
-	gid := goid()
+	h := handleOf(ctx)
 	v.mu.Lock()
-	isHolder := v.running && v.holder == gid
-	w := v.newWaiter()
-	w.at = v.now + seconds
-	heap.Push(&v.timers, w)
-	v.interruptibleLocked(w, ctx)
-	if isHolder {
-		v.running = false
-		v.holder = 0
-	}
-	// An outside caller (no token held) leaves `running` alone: it joins
-	// the schedule for this block only and gives the token back on wake.
-	v.scheduleLocked()
-	v.mu.Unlock()
-	<-w.grant
-	if isHolder {
-		v.claim(gid)
-	} else {
-		v.mu.Lock()
-		v.releaseLocked()
-		v.mu.Unlock()
-	}
-	if w.interrupted {
-		return ctx.Err()
-	}
-	return nil
+	p, holds := v.callerLocked(h)
+	v.blockLocked(p)
+	v.pushTimerLocked(timerEntry{v.now + seconds, p.seq, p})
+	v.interruptibleLocked(p, ctx)
+	return v.parkLocked(ctx, p, holds)
 }
 
 func (v *vsched) nowModel() float64 {
@@ -426,12 +499,15 @@ func (v *vsched) advanceTo(t float64) {
 // their channel paths.
 type Cond struct {
 	v       *vsched
-	waiters []*vwaiter
+	waiters []blockRef
 }
 
 // Wait releases the run token and parks the caller until Broadcast (or
-// ctx ending, which returns ctx.Err()). The caller must hold the run
-// token. Re-check the guarded condition on return, as with sync.Cond.
+// ctx ending, which returns ctx.Err()). The caller should be the token
+// holder, and ctx should carry its handle (Clock.GoCtx); a call without
+// a handle is the anonymous holder's or an outside caller's (see
+// Clock.Sleep). Re-check the guarded condition on return, as with
+// sync.Cond.
 func (cd *Cond) Wait(ctx context.Context) error {
 	v := cd.v
 	if ctx != nil {
@@ -439,30 +515,13 @@ func (cd *Cond) Wait(ctx context.Context) error {
 			return err
 		}
 	}
-	gid := goid()
+	h := handleOf(ctx)
 	v.mu.Lock()
-	isHolder := v.running && v.holder == gid
-	w := v.newWaiter()
-	cd.waiters = append(cd.waiters, w)
-	v.interruptibleLocked(w, ctx)
-	if isHolder {
-		v.running = false
-		v.holder = 0
-	}
-	v.scheduleLocked()
-	v.mu.Unlock()
-	<-w.grant
-	if isHolder {
-		v.claim(gid)
-	} else {
-		v.mu.Lock()
-		v.releaseLocked()
-		v.mu.Unlock()
-	}
-	if w.interrupted {
-		return ctx.Err()
-	}
-	return nil
+	p, holds := v.callerLocked(h)
+	v.blockLocked(p)
+	cd.waiters = append(cd.waiters, blockRef{p, p.seq})
+	v.interruptibleLocked(p, ctx)
+	return v.parkLocked(ctx, p, holds)
 }
 
 // Broadcast wakes every goroutine currently parked in Wait, in the
@@ -471,13 +530,14 @@ func (cd *Cond) Wait(ctx context.Context) error {
 func (cd *Cond) Broadcast() {
 	v := cd.v
 	v.mu.Lock()
-	for _, w := range cd.waiters {
-		if w.state != stBlocked {
+	for _, r := range cd.waiters {
+		if !r.live() {
 			continue // already woken by cancellation
 		}
-		v.unblockLocked(w, stQueued)
-		v.ready = append(v.ready, w)
+		v.unblockLocked(r.p, stQueued)
+		v.ready = append(v.ready, r.p)
 	}
+	clear(cd.waiters)
 	cd.waiters = cd.waiters[:0]
 	v.scheduleLocked() // no-op when the broadcaster holds the token
 	v.mu.Unlock()

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -144,7 +147,6 @@ func TestRealModeAPIsAreNoops(t *testing.T) {
 		t.Fatal("real clock reports Virtual()")
 	}
 	c.Enter()
-	c.Yield()
 	c.AdvanceTo(99)
 	if cond := c.NewCond(); cond != nil {
 		t.Fatal("NewCond on a real clock should return nil")
@@ -512,5 +514,191 @@ func BenchmarkVirtualAdvance(b *testing.B) {
 			c.Exit()
 			wg.Wait()
 		})
+	}
+}
+
+// outsideWorkload runs two worker participants — sleepers that log
+// each wake and meet on a Cond — beside a harness participant that
+// drives an outside goroutine, one that never enters the schedule,
+// through Sleep, SleepCtx and Cond.Wait. Every outside block starts
+// while the harness holds the token at a known model time, and the
+// harness is parked right behind each wake (a tie timer, or the next
+// place in the Cond's wait order) so model time stands still until the
+// outside goroutine has read Now(). Without outside the harness keeps
+// the same schedule and skips the hand-offs. It returns the workers'
+// wake log and the outside goroutine's wake times.
+func outsideWorkload(t *testing.T, outside bool) (log []string, outWakes []float64) {
+	t.Helper()
+	c := NewVirtualClock()
+	work, ocond, hcond := c.NewCond(), c.NewCond(), c.NewCond()
+	octx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var active atomic.Int32
+	var wg sync.WaitGroup
+	run := func(name string, fn func(ctx context.Context, mark func())) {
+		wg.Add(1)
+		c.GoCtx(context.Background(), func(ctx context.Context) {
+			defer wg.Done()
+			mark := func() {
+				if n := active.Add(1); n != 1 {
+					t.Errorf("%s runs beside %d other participant(s): the token was stolen", name, n-1)
+				}
+				runtime.Gosched()
+				active.Add(-1)
+			}
+			mark()
+			fn(ctx, mark)
+		})
+	}
+	logWake := func(ctx context.Context, who string) {
+		log = append(log, fmt.Sprintf("%s@%v", who, c.Now()))
+	}
+
+	// The outside goroutine blocks once per step and reports the model
+	// time it sees right after each wake.
+	steps := make(chan func(), 1)
+	report := make(chan float64)
+	go func() {
+		for step := range steps {
+			step()
+			report <- c.Now()
+		}
+	}()
+	seq := func() uint64 {
+		c.v.mu.Lock()
+		defer c.v.mu.Unlock()
+		return c.v.seq
+	}
+	// startOutside hands the outside goroutine its next block and waits
+	// until the block is registered: the caller holds the token, so model
+	// time cannot move meanwhile.
+	startOutside := func(step func()) {
+		if !outside {
+			return
+		}
+		before := seq()
+		steps <- step
+		for seq() == before {
+			runtime.Gosched()
+		}
+	}
+	awaitOutside := func() {
+		if outside {
+			outWakes = append(outWakes, <-report)
+		}
+	}
+
+	run("w1", func(ctx context.Context, mark func()) {
+		for _, d := range []float64{1, 1.5, 2, 0.5, 1} {
+			_ = c.SleepCtx(ctx, d)
+			mark()
+			logWake(ctx, "w1")
+			work.Broadcast()
+		}
+	})
+	run("w2", func(ctx context.Context, mark func()) {
+		for i := 0; i < 4; i++ {
+			_ = work.Wait(ctx)
+			mark()
+			logWake(ctx, "w2")
+			_ = c.SleepCtx(ctx, 0.25)
+			mark()
+			logWake(ctx, "w2")
+		}
+	})
+	run("h2", func(ctx context.Context, mark func()) {
+		_ = hcond.Wait(ctx)
+		mark()
+		_ = ocond.Wait(ctx) // queued right behind the outside waiter
+		mark()
+		awaitOutside()
+	})
+	run("h", func(ctx context.Context, mark func()) {
+		_ = c.SleepCtx(ctx, 1.25)
+		mark()
+		startOutside(func() { c.Sleep(2) })
+		_ = c.SleepCtx(ctx, 2) // ties at 3.25, behind the outside sleeper
+		mark()
+		awaitOutside()
+		startOutside(func() { _ = c.SleepCtx(octx, 1.5) })
+		_ = c.SleepCtx(ctx, 1.5) // ties at 4.75
+		mark()
+		awaitOutside()
+		startOutside(func() { _ = ocond.Wait(octx) })
+		hcond.Broadcast()
+		_ = c.SleepCtx(ctx, 0.5)
+		mark()
+		ocond.Broadcast() // at 5.25: the outside waiter, then h2
+	})
+	wg.Wait()
+	close(steps)
+
+	c.v.mu.Lock()
+	defer c.v.mu.Unlock()
+	if c.v.holder != nil || c.v.rhead != len(c.v.ready) {
+		t.Errorf("after the run: holder %p, %d ready — the token leaked", c.v.holder, len(c.v.ready)-c.v.rhead)
+	}
+	return log, outWakes
+}
+
+// TestVirtualOutsideCaller: a goroutine outside the schedule blocking in
+// Sleep, SleepCtx and Cond.Wait while participants run wakes at exactly
+// the model times its blocks ask for, and leaves the participants'
+// timestamps as they are without it: it neither steals the token from
+// a running participant nor keeps it after its wake.
+func TestVirtualOutsideCaller(t *testing.T) {
+	var alone, log []string
+	var wakes []float64
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		alone, _ = outsideWorkload(t, false)
+		log, wakes = outsideWorkload(t, true)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the schedule wedged: the run token was leaked")
+	}
+	if !reflect.DeepEqual(log, alone) {
+		t.Errorf("participant wakes changed by the outside caller:\n with: %v\n without: %v", log, alone)
+	}
+	if want := []float64{3.25, 4.75, 5.25}; !reflect.DeepEqual(wakes, want) {
+		t.Errorf("outside caller woke at %v, want %v", wakes, want)
+	}
+}
+
+// TestVirtualForeignHandlePanics: a blocking call with the handle of a
+// participant that does not hold the run token — here a parent's
+// context used by its child — panics instead of running two
+// participants at once, and the schedule carries on.
+func TestVirtualForeignHandlePanics(t *testing.T) {
+	c := NewVirtualClock()
+	var r any
+	recovered, done := make(chan struct{}), make(chan struct{})
+	c.GoCtx(context.Background(), func(parent context.Context) {
+		c.GoCtx(context.Background(), func(context.Context) {
+			defer func() {
+				r = recover()
+				close(recovered)
+			}()
+			_ = c.SleepCtx(parent, 1)
+		})
+		_ = c.SleepCtx(parent, 5)
+		close(done)
+	})
+	for _, ch := range []<-chan struct{}{recovered, done} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the schedule wedged after the foreign-handle call")
+		}
+	}
+	if msg, _ := r.(string); !strings.Contains(msg, "does not hold the run token") {
+		t.Fatalf("foreign handle: recovered %v, want the holder panic", r)
+	}
+	if now := c.Now(); now != 5 {
+		t.Fatalf("Now() = %v after the panic, want 5", now)
 	}
 }

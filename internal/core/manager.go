@@ -81,7 +81,7 @@ type Manager struct {
 	// active sessions' inbox write-through callbacks. Non-nil only when
 	// the broker is log-backed and a journal is configured.
 	inboxMu       sync.RWMutex
-	inboxJournals map[int64]func(mq.Message)
+	inboxJournals map[int64]func(context.Context, mq.Message)
 
 	mu     sync.Mutex
 	closed bool
@@ -109,7 +109,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		chaos = failure.NewSchedule(cfg.Chaos)
 		// Backoff and injected delays sleep on the model clock, so chaos
 		// runs at the same accelerated scale as everything else.
-		chaos.SetSleeper(clus.Clock().Sleep)
+		chaos.SetSleeper(clus.Clock().SleepCtx)
 		chaos.SetMetrics(reg)
 		cfg.Journal.Chaos = chaos
 		cfg.Journal.Retry = cfg.Retry
@@ -179,11 +179,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		// only the log broker exposes the observer hook (the queue broker
 		// offers no replay to restore anyway).
 		if oh, ok := m.broker.(mq.ObserverHost); ok {
-			m.inboxJournals = map[int64]func(mq.Message){}
-			oh.SetPublishObserver(func(msg mq.Message) {
+			m.inboxJournals = map[int64]func(context.Context, mq.Message){}
+			oh.SetPublishObserver(func(ctx context.Context, msg mq.Message) {
 				m.inboxMu.RLock()
 				for _, fn := range m.inboxJournals {
-					fn(msg)
+					fn(ctx, msg)
 				}
 				m.inboxMu.RUnlock()
 			})
@@ -202,7 +202,7 @@ func NewManager(cfg Config) (*Manager, error) {
 // registerInboxJournal attaches one session's inbox write-through
 // callback to the broker's publish observer; a no-op when the manager
 // has no observer hook (queue broker or no journal).
-func (m *Manager) registerInboxJournal(id int64, fn func(mq.Message)) {
+func (m *Manager) registerInboxJournal(id int64, fn func(context.Context, mq.Message)) {
 	if m.inboxJournals == nil {
 		return
 	}
@@ -425,10 +425,11 @@ func (m *Manager) Submit(ctx context.Context, def *workflow.Definition, services
 	}
 
 	// Under a virtual clock the session goroutine is a schedule
-	// participant (Clock.Go); in real mode this is a plain goroutine.
-	m.cluster.Clock().Go(func() {
+	// participant whose context carries its handle (Clock.GoCtx); in
+	// real mode this is a plain goroutine.
+	m.cluster.Clock().GoCtx(runCtx, func(ctx context.Context) {
 		defer m.wg.Done()
-		s.run(runCtx)
+		s.run(ctx)
 	})
 	return s, nil
 }

@@ -198,9 +198,9 @@ func (m *Manager) recoverSession(ctx context.Context, st *journal.SessionState, 
 
 	s.recorder.Record(trace.SessionRecovered, "", 0,
 		fmt.Sprintf("replayed %d status records", st.StatusRecords))
-	m.cluster.Clock().Go(func() {
+	m.cluster.Clock().GoCtx(runCtx, func(ctx context.Context) {
 		defer m.wg.Done()
-		s.run(runCtx)
+		s.run(ctx)
 	})
 	return s, nil
 }

@@ -100,7 +100,7 @@ func newSession(m *Manager, id int64, def *workflow.Definition, services *agent.
 // folds in, so journal order equals fold order. It returns the first
 // write error: journaling is an explicit durability contract, so a
 // failing journal fails the session instead of silently degrading.
-func (s *Session) journalBatch(batch []mq.Message) error {
+func (s *Session) journalBatch(ctx context.Context, batch []mq.Message) error {
 	var firstErr error
 	for i := range batch {
 		atoms := batch[i].Atoms
@@ -114,7 +114,7 @@ func (s *Session) journalBatch(batch []mq.Message) error {
 			batch[i].Atoms = parsed
 			atoms = parsed
 		}
-		if err := s.jw.AppendStatus(atoms); err != nil && firstErr == nil {
+		if err := s.jw.AppendStatusCtx(ctx, atoms); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -124,9 +124,9 @@ func (s *Session) journalBatch(batch []mq.Message) error {
 // maybeCheckpoint cuts a journal checkpoint when enough status records
 // accumulated — invoked by the serve loop right after a fold, so the
 // snapshot is consistent with every record before it.
-func (s *Session) maybeCheckpoint() error {
+func (s *Session) maybeCheckpoint(ctx context.Context) error {
 	if s.jw.ShouldCheckpoint() {
-		return s.jw.Checkpoint(s.space.Snapshot().Atoms())
+		return s.jw.Checkpoint(ctx, s.space.Snapshot().Atoms())
 	}
 	return nil
 }
@@ -243,7 +243,7 @@ func (s *Session) run(ctx context.Context) {
 		met.sessionsFailed.Inc()
 	}
 
-	s.settleJournal(err)
+	s.settleJournal(ctx, err)
 	s.mu.Lock()
 	s.report = rep
 	s.err = err
@@ -259,7 +259,7 @@ func (s *Session) run(ctx context.Context) {
 // not the workflow; every other outcome (success, stall, explicit
 // cancel, hard failure) is terminal: Wait observed a final report, so
 // the journal is marked done and reclaimed.
-func (s *Session) settleJournal(err error) {
+func (s *Session) settleJournal(ctx context.Context, err error) {
 	if s.jw == nil {
 		return
 	}
@@ -269,7 +269,7 @@ func (s *Session) settleJournal(err error) {
 		s.jw.Close()
 		return
 	}
-	s.jw.Finish()
+	s.jw.Finish(ctx)
 	if s.mgr.journal != nil {
 		s.mgr.journal.RemoveSession(s.id)
 	}
@@ -304,6 +304,10 @@ func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
 	chaos := s.mgr.chaos
 	rc := s.mgr.cfg.Retry.WithDefaults()
 
+	// The modelled invocation costs are not interruptible (the reduction
+	// runs to its end); hctx only names the session participant.
+	hctx := context.WithoutCancel(ctx)
+	sleep := func(d float64) { _ = clock.SleepCtx(hctx, d) }
 	eng := hocl.NewEngine()
 	eng.Funcs.Register(hoclflow.FnInvoke, func(args []hocl.Atom) ([]hocl.Atom, error) {
 		name, ok := args[0].(hocl.Str)
@@ -329,21 +333,21 @@ func (s *Session) runCentralized(ctx context.Context) (*Report, error) {
 		for attempt := 1; ; attempt++ {
 			switch f := chaos.Draw(failure.BoundaryInvoke); f.Kind {
 			case failure.FaultSlow:
-				clock.Sleep(dur + f.Delay)
+				sleep(dur + f.Delay)
 			case failure.FaultError, failure.FaultTimeout:
 				cost := f.Delay
 				if f.Kind == failure.FaultTimeout {
 					cost = dur // the service ran to its deadline before the response was lost
 				}
-				clock.Sleep(cost)
+				sleep(cost)
 				if attempt >= rc.MaxAttempts {
 					return nil, fmt.Errorf("invoke %s: %d attempts: %w (%w)",
 						name, attempt, failure.ErrRetriesExhausted, f.Err)
 				}
-				clock.Sleep(rc.Delay(attempt))
+				sleep(rc.Delay(attempt))
 				continue
 			default:
-				clock.Sleep(dur)
+				sleep(dur)
 			}
 			break
 		}
@@ -476,8 +480,8 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	// The resync channel: a delta push that fails to anchor makes the
 	// space ask that agent for an immediate full snapshot instead of
 	// staying stale until the agent's next natural full push.
-	sp.SetResyncRequester(func(task string) {
-		_ = broker.PublishAtoms(agent.Topic(topicPrefix, task), []hocl.Atom{hoclflow.ResyncMarker(task)})
+	sp.SetResyncRequester(func(ctx context.Context, task string) {
+		_ = broker.PublishAtomsCtx(ctx, agent.Topic(topicPrefix, task), []hocl.Atom{hoclflow.ResyncMarker(task)})
 	})
 	spaceCtx, stopSpace := context.WithCancel(context.Background())
 	defer stopSpace()
@@ -502,17 +506,17 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 		}
 		failNow()
 	}
-	serveSpace := func() error { return sp.Serve(spaceCtx, broker, spaceTopic) }
+	serveSpace := func(ctx context.Context) error { return sp.Serve(ctx, broker, spaceTopic) }
 	if s.jw != nil {
 		// Write-through journaling: every space-topic payload is appended
 		// to the session journal before it is folded into the space (the
 		// write-ahead contract), and checkpoints are cut on the same
 		// goroutine so snapshots are consistent with the records before
 		// them.
-		serveSpace = func() error {
-			return sp.ServeHooked(spaceCtx, broker, spaceTopic,
-				func(batch []mq.Message) { journalErr(s.journalBatch(batch)) },
-				func() { journalErr(s.maybeCheckpoint()) })
+		serveSpace = func(ctx context.Context) error {
+			return sp.ServeHooked(ctx, broker, spaceTopic,
+				func(batch []mq.Message) { journalErr(s.journalBatch(ctx, batch)) },
+				func() { journalErr(s.maybeCheckpoint(ctx)) })
 		}
 		// Inbox write-through (log broker only): every direct-topic
 		// publish is journaled as it lands in the broker log, so a
@@ -520,7 +524,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 		// traffic into a fresh broker. Rotation rewrites the full history
 		// from the live log into each new segment head.
 		if rep, ok := broker.(mq.Replayable); ok && s.mgr.inboxJournals != nil {
-			s.mgr.registerInboxJournal(s.id, func(msg mq.Message) {
+			s.mgr.registerInboxJournal(s.id, func(ctx context.Context, msg mq.Message) {
 				if !strings.HasPrefix(msg.Topic, topicPrefix) {
 					return
 				}
@@ -532,7 +536,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 					}
 					atoms = parsed
 				}
-				journalErr(s.jw.AppendInbox(msg.Topic, atoms))
+				journalErr(s.jw.AppendInbox(ctx, msg.Topic, atoms))
 			})
 			defer s.mgr.unregisterInboxJournal(s.id)
 			s.jw.SetInboxSource(func() []journal.InboxRecord {
@@ -554,8 +558,8 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 			})
 		}
 	}
-	clock.Go(func() {
-		err := serveSpace()
+	clock.GoCtx(spaceCtx, func(ctx context.Context) {
+		err := serveSpace(ctx)
 		if err != nil && spaceCtx.Err() == nil {
 			spaceFailed <- err
 			failNow()
@@ -630,13 +634,20 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	// re-hears every rebuilt task even if its seeded state is already
 	// final.
 	for name := range seeded {
-		sp.RequestResync(name)
+		sp.RequestResync(ctx, name)
 	}
 
 	agentsCtx, stopAgents := context.WithCancel(ctx)
 	defer stopAgents()
 	execStart := clock.Now()
+	// Real mode waits for the agent goroutines on wg. Under a virtual
+	// clock the session stays in the schedule instead: the last agent
+	// participant to return broadcasts agentsDone, so teardown resumes
+	// at a deterministic point of the schedule. live is only touched by
+	// run-token holders.
 	var wg sync.WaitGroup
+	agentsDone := clock.NewCond()
+	live := 0
 	errCh := make(chan error, len(placements))
 	var remoteFailed <-chan error
 	if useRemote {
@@ -645,12 +656,18 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	} else {
 		for i, p := range placements {
 			wg.Add(1)
+			live++
 			p, first := p, firstIncarnations[i]
-			clock.Go(func() {
+			clock.GoCtx(agentsCtx, func(ctx context.Context) {
 				defer wg.Done()
-				if err := sup.run(agentsCtx, p, first); err != nil && agentsCtx.Err() == nil {
+				if err := sup.run(ctx, p, first); err != nil && ctx.Err() == nil {
 					errCh <- err
 					failNow()
+				}
+				if agentsDone != nil {
+					if live--; live == 0 {
+						agentsDone.Broadcast()
+					}
 				}
 			})
 		}
@@ -701,13 +718,12 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	}()
 	execTime := clock.Now() - execStart
 	stopAgents()
-	if clock.Virtual() {
+	if agentsDone != nil {
 		// The agent participants need the run token to observe the
-		// cancellation and unwind; leave the schedule while they do,
-		// then rejoin for the settle drain and report assembly.
-		clock.Exit()
-		wg.Wait()
-		clock.Enter()
+		// cancellation and unwind; park until the last one is gone.
+		for hctx := context.WithoutCancel(ctx); live > 0; {
+			_ = agentsDone.Wait(hctx)
+		}
 	} else {
 		wg.Wait()
 	}
@@ -728,7 +744,7 @@ func (s *Session) runDistributed(ctx context.Context) (*Report, error) {
 	}
 	// Space-boundary chaos defers dropped batches instead of losing
 	// them; fold the remainder in before the final state is read.
-	sp.FlushDeferred()
+	sp.FlushDeferred(ctx)
 
 	if n := s.hub.droppedCount(); n > 0 {
 		s.recorder.Record(trace.EventsDropped, "", 0,

@@ -120,7 +120,7 @@ func (rh *remoteHost) forward() {
 			rh.recorder.Record(trace.Kind(e.Kind), e.Task, e.Incarnation, e.Info)
 		case id := <-rh.rs.Reconnected():
 			for _, task := range rh.tasksOf[id] {
-				rh.sp.RequestResync(task)
+				rh.sp.RequestResync(context.Background(), task)
 			}
 		}
 	}

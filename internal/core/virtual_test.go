@@ -71,15 +71,23 @@ func runVirtualFan(t *testing.T, fan int) fanSummary {
 	}
 	defer m.Close()
 
+	// Submit from inside the schedule, so every session is queued at
+	// model time zero before the first one runs: submitted from outside,
+	// a later session would start wherever the earlier ones had got to
+	// in real time.
+	clock := m.cluster.Clock()
+	clock.Enter()
 	sessions := make([]*Session, fan)
 	for i := range sessions {
 		def := workflow.Diamond(workflow.DefaultDiamondSpec(8, 8, false))
 		s, err := m.Submit(context.Background(), def, diamondServices(nil))
 		if err != nil {
+			clock.Exit()
 			t.Fatal(err)
 		}
 		sessions[i] = s
 	}
+	clock.Exit()
 	var sum fanSummary
 	for _, s := range sessions {
 		rep, err := s.Wait(context.Background())
@@ -466,6 +474,67 @@ func TestCrossModeEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(virtChaos.order, virtChaos2.order) {
 				t.Errorf("same-seed chaotic virtual runs ordered completions differently:\n  %v\n  %v",
 					virtChaos.order, virtChaos2.order)
+			}
+		})
+	}
+}
+
+// TestCompletionPrecedesResultSends: an agent records TaskCompleted
+// before the first result of its incarnation leaves it, so no
+// successor can be seen completing before its predecessor — on the
+// real clock a fast successor otherwise could. On the virtual clock
+// the event order is deterministic: for every completed task, its
+// first TaskCompleted must precede each of its ResultSent events.
+func TestCompletionPrecedesResultSends(t *testing.T) {
+	montageServices := agent.NewRegistry()
+	montage.RegisterServices(montageServices)
+	for _, w := range []struct {
+		name     string
+		def      *workflow.Definition
+		services *agent.Registry
+	}{
+		{"diamond", workflow.Diamond(workflow.DefaultDiamondSpec(3, 3, false)), diamondServices(nil)},
+		{"montage", montage.Workflow(), montageServices},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			m, err := NewManager(Config{
+				Executor:     executor.KindSSH,
+				Broker:       mq.KindLog,
+				Cluster:      virtualCluster(8, 1),
+				Timeout:      2 * time.Minute,
+				CollectTrace: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			s, err := m.Submit(context.Background(), w.def, w.services)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Wait(context.Background())
+			if err != nil {
+				t.Fatalf("run failed: %v", err)
+			}
+			completedAt := map[string]int{}
+			for i, e := range rep.Events {
+				if _, seen := completedAt[e.Task]; e.Kind == trace.TaskCompleted && !seen {
+					completedAt[e.Task] = i
+				}
+			}
+			sends := 0
+			for i, e := range rep.Events {
+				if e.Kind != trace.ResultSent || rep.Statuses[e.Task] != hoclflow.StatusCompleted {
+					continue
+				}
+				sends++
+				if at, ok := completedAt[e.Task]; !ok || at > i {
+					t.Errorf("%s sent its result to %s (event %d) before recording its completion (event %d, recorded %v)",
+						e.Task, e.Info, i, at, ok)
+				}
+			}
+			if sends == 0 {
+				t.Fatal("no result-sent events: the check proved nothing")
 			}
 		})
 	}

@@ -194,12 +194,13 @@ func (m *Mesos) Deploy(ctx context.Context, specs []workflow.AgentSpec, c *clust
 }
 
 // sleepCtx charges a model-time sleep, honouring cancellation at a coarse
-// granularity (the whole sleep is one slice; deployment sleeps are short).
+// granularity (the whole sleep is one slice; deployment sleeps are
+// short). ctx names the caller to a virtual clock.
 func sleepCtx(ctx context.Context, clock *cluster.Clock, modelSeconds float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	clock.Sleep(modelSeconds)
+	_ = clock.SleepCtx(context.WithoutCancel(ctx), modelSeconds)
 	return ctx.Err()
 }
 

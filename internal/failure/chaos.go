@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -349,7 +350,7 @@ type Schedule struct {
 	cfg     ChaosConfig
 	points  [boundaryCount]chaosPoint
 	sleepMu sync.RWMutex
-	sleeper func(seconds float64)
+	sleeper func(ctx context.Context, seconds float64) error
 
 	// obsDraws / obsFaults mirror the per-boundary draw and injected-
 	// fault counts into a metrics registry (SetMetrics); nil entries
@@ -428,8 +429,9 @@ func (s *Schedule) SettleSeconds() float64 {
 }
 
 // SetSleeper installs the clock used by Sleep — normally the cluster
-// clock's Sleep, so chaos stalls and retry backoffs advance model time.
-func (s *Schedule) SetSleeper(fn func(seconds float64)) {
+// clock's SleepCtx, so chaos stalls and retry backoffs advance model
+// time.
+func (s *Schedule) SetSleeper(fn func(ctx context.Context, seconds float64) error) {
 	if s == nil {
 		return
 	}
@@ -439,8 +441,10 @@ func (s *Schedule) SetSleeper(fn func(seconds float64)) {
 }
 
 // Sleep stalls for the given model seconds on the installed sleeper;
-// without one (or on a nil schedule) it returns immediately.
-func (s *Schedule) Sleep(seconds float64) {
+// without one (or on a nil schedule) it returns immediately. ctx names
+// the caller to a virtual clock (a participant passes the context that
+// carries its handle); a stall is never cut short by ctx ending.
+func (s *Schedule) Sleep(ctx context.Context, seconds float64) {
 	if s == nil || seconds <= 0 {
 		return
 	}
@@ -448,7 +452,7 @@ func (s *Schedule) Sleep(seconds float64) {
 	fn := s.sleeper
 	s.sleepMu.RUnlock()
 	if fn != nil {
-		fn(seconds)
+		_ = fn(context.WithoutCancel(ctx), seconds)
 	}
 }
 

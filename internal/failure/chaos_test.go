@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -79,7 +80,7 @@ func TestScheduleNilSafe(t *testing.T) {
 	if f := s.Draw(BoundaryMessage); f.Kind != FaultNone {
 		t.Fatalf("nil schedule drew %s", f.Kind)
 	}
-	s.Sleep(1)
+	s.Sleep(context.Background(), 1)
 	s.SetSleeper(nil)
 	if s.Counts() != nil {
 		t.Fatal("nil schedule returned counts")
@@ -122,9 +123,9 @@ func TestScheduleCountsAndErrors(t *testing.T) {
 func TestScheduleSleeper(t *testing.T) {
 	s := NewSchedule(ChaosConfig{Seed: 1, MessageDropP: 0.1})
 	var slept float64
-	s.SetSleeper(func(sec float64) { slept += sec })
-	s.Sleep(2.5)
-	s.Sleep(-1) // ignored
+	s.SetSleeper(func(_ context.Context, sec float64) error { slept += sec; return nil })
+	s.Sleep(context.Background(), 2.5)
+	s.Sleep(context.Background(), -1) // ignored
 	if slept != 2.5 {
 		t.Fatalf("slept %v, want 2.5", slept)
 	}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -118,7 +119,7 @@ func TestJournalDoubleTornRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendInbox("wf11.sa.T1", statusPayload("T1", 0)); err != nil {
+	if err := w.AppendInbox(context.Background(), "wf11.sa.T1", statusPayload("T1", 0)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -167,7 +168,7 @@ func TestJournalInboxRoundTrip(t *testing.T) {
 	}
 	w.SetInboxSource(func() []InboxRecord { return history })
 	for _, rec := range history {
-		if err := w.AppendInbox(rec.Topic, rec.Atoms); err != nil {
+		if err := w.AppendInbox(context.Background(), rec.Topic, rec.Atoms); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +177,7 @@ func TestJournalInboxRoundTrip(t *testing.T) {
 	}
 	// MaxSegmentBytes=1 forces this checkpoint to rotate: the new head
 	// must carry the rewritten inbox history.
-	if err := w.Checkpoint(statusPayload("T1", 0)); err != nil {
+	if err := w.Checkpoint(context.Background(), statusPayload("T1", 0)); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := listSegments(filepath.Join(dir, "wf-12"))
@@ -210,10 +211,10 @@ func TestJournalInboxRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.AppendInbox("wf13.sa.T2", statusPayload("T1", 7)); err != nil {
+	if err := w2.AppendInbox(context.Background(), "wf13.sa.T2", statusPayload("T1", 7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Checkpoint(statusPayload("T1", 7)); err != nil {
+	if err := w2.Checkpoint(context.Background(), statusPayload("T1", 7)); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := j2.ReadSession(13)
@@ -235,7 +236,7 @@ func TestJournalResumeCarriesInboxForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendInbox("wf14.sa.T2", statusPayload("T1", 5)); err != nil {
+	if err := w.AppendInbox(context.Background(), "wf14.sa.T2", statusPayload("T1", 5)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -24,6 +24,7 @@
 package journal
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -372,8 +373,8 @@ func (w *SessionWriter) StatusRecords() int64 {
 // appendFrame writes one framed record; callers hold w.mu. Under chaos,
 // failed or torn writes are repaired (the file is truncated back to the
 // last durable frame boundary) and retried with backoff until the retry
-// budget is spent.
-func (w *SessionWriter) appendFrame(typ byte, payload []byte) error {
+// budget is spent; ctx names the caller to the backoff's clock.
+func (w *SessionWriter) appendFrame(ctx context.Context, typ byte, payload []byte) error {
 	if w.closed || w.crashTripped() {
 		return nil
 	}
@@ -427,7 +428,7 @@ func (w *SessionWriter) appendFrame(typ byte, payload []byte) error {
 			frameOwned = true
 		}
 		w.mu.Unlock()
-		w.cfg.Chaos.Sleep(rc.Delay(attempt))
+		w.cfg.Chaos.Sleep(ctx, rc.Delay(attempt))
 		w.mu.Lock()
 	}
 }
@@ -473,16 +474,23 @@ func frameFingerprint(typ byte, payload []byte) uint64 {
 	return h
 }
 
-// AppendStatus journals one space-topic status payload — the write-ahead
-// half of the session's write-through space. The atoms must be frozen
-// (they are broker payloads, frozen by the publish contract). The hot
-// path reuses the writer's encoding and framing buffers: appending a
-// record allocates nothing.
+// AppendStatus is AppendStatusCtx for a caller outside any virtual-clock
+// schedule.
 func (w *SessionWriter) AppendStatus(atoms []hocl.Atom) error {
+	return w.AppendStatusCtx(context.Background(), atoms)
+}
+
+// AppendStatusCtx journals one space-topic status payload — the
+// write-ahead half of the session's write-through space. The atoms must
+// be frozen (they are broker payloads, frozen by the publish contract).
+// ctx names the caller to a virtual clock should a chaos backoff sleep
+// (cluster.Clock.GoCtx). The hot path reuses the writer's encoding and
+// framing buffers: appending a record allocates nothing.
+func (w *SessionWriter) AppendStatusCtx(ctx context.Context, atoms []hocl.Atom) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.enc = hocl.AppendAtoms(w.enc[:0], atoms)
-	if err := w.appendFrame(recStatus, w.enc); err != nil {
+	if err := w.appendFrame(ctx, recStatus, w.enc); err != nil {
 		return err
 	}
 	w.sinceSnap++
@@ -491,13 +499,14 @@ func (w *SessionWriter) AppendStatus(atoms []hocl.Atom) error {
 }
 
 // AppendInbox journals one direct-topic message — the write-ahead copy
-// of an agent inbox delivery. Like AppendStatus it reuses the writer's
-// buffers; the atoms must be frozen broker payloads.
-func (w *SessionWriter) AppendInbox(topic string, atoms []hocl.Atom) error {
+// of an agent inbox delivery, made on the publisher's goroutine. Like
+// AppendStatusCtx it reuses the writer's buffers and takes the caller's
+// ctx; the atoms must be frozen broker payloads.
+func (w *SessionWriter) AppendInbox(ctx context.Context, topic string, atoms []hocl.Atom) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.enc = appendInboxPayload(w.enc[:0], topic, atoms)
-	return w.appendFrame(recInbox, w.enc)
+	return w.appendFrame(ctx, recInbox, w.enc)
 }
 
 // SetInboxSource installs the callback rotation uses to rewrite the
@@ -543,33 +552,34 @@ func (w *SessionWriter) ShouldCheckpoint() bool {
 // first when the current one has outgrown its size budget. snapshot is
 // the full molecule list of the session's space (task tuples plus
 // markers) at a point consistent with the status records appended so
-// far.
-func (w *SessionWriter) Checkpoint(snapshot []hocl.Atom) error {
+// far. ctx names the caller, as for AppendStatusCtx.
+func (w *SessionWriter) Checkpoint(ctx context.Context, snapshot []hocl.Atom) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed || w.crashTripped() {
 		return nil
 	}
 	if w.size >= w.cfg.MaxSegmentBytes {
-		return w.rotateLocked(snapshot)
+		return w.rotateLocked(ctx, snapshot)
 	}
 	w.enc = hocl.AppendAtoms(w.enc[:0], snapshot)
-	if err := w.appendFrame(recSnapshot, w.enc); err != nil {
+	if err := w.appendFrame(ctx, recSnapshot, w.enc); err != nil {
 		return err
 	}
 	w.sinceSnap = 0
-	return w.maybeSync()
+	return w.maybeSync(ctx)
 }
 
 // rotate opens the next segment, seeds it with the workflow record and
-// a snapshot, then prunes superseded segments.
+// a snapshot, then prunes superseded segments. It serves session
+// creation and resume, whose callers are outside any schedule.
 func (w *SessionWriter) rotate(snapshot []hocl.Atom) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.rotateLocked(snapshot)
+	return w.rotateLocked(context.Background(), snapshot)
 }
 
-func (w *SessionWriter) rotateLocked(snapshot []hocl.Atom) error {
+func (w *SessionWriter) rotateLocked(ctx context.Context, snapshot []hocl.Atom) error {
 	if w.crashTripped() {
 		return nil
 	}
@@ -589,10 +599,10 @@ func (w *SessionWriter) rotateLocked(snapshot []hocl.Atom) error {
 		w.met.rotations.Inc()
 	}
 	w.f, w.segIndex, w.size, w.sinceSnap = f, next, 0, 0
-	if err := w.appendFrame(recWorkflow, metaJSON); err != nil {
+	if err := w.appendFrame(ctx, recWorkflow, metaJSON); err != nil {
 		return err
 	}
-	if err := w.appendFrame(recSnapshot, hocl.EncodeAtoms(snapshot)); err != nil {
+	if err := w.appendFrame(ctx, recSnapshot, hocl.EncodeAtoms(snapshot)); err != nil {
 		return err
 	}
 	// Older segments are about to be pruned: rewrite the full inbox
@@ -600,12 +610,12 @@ func (w *SessionWriter) rotateLocked(snapshot []hocl.Atom) error {
 	if w.inboxSource != nil {
 		for _, rec := range w.inboxSource() {
 			w.enc = appendInboxPayload(w.enc[:0], rec.Topic, rec.Atoms)
-			if err := w.appendFrame(recInbox, w.enc); err != nil {
+			if err := w.appendFrame(ctx, recInbox, w.enc); err != nil {
 				return err
 			}
 		}
 	}
-	if err := w.maybeSync(); err != nil {
+	if err := w.maybeSync(ctx); err != nil {
 		return err
 	}
 	// The new segment head is durable: the old segments are superseded.
@@ -625,12 +635,12 @@ func (w *SessionWriter) rotateLocked(snapshot []hocl.Atom) error {
 	return nil
 }
 
-func (w *SessionWriter) maybeSync() error {
+func (w *SessionWriter) maybeSync(ctx context.Context) error {
 	if f := w.cfg.Chaos.Draw(failure.BoundaryJournalSync); f.Kind == failure.FaultSlow {
 		// Sleep outside w.mu — holding a real mutex across a virtual-clock
 		// sleep can wedge the discrete-event schedule (see appendFrame).
 		w.mu.Unlock()
-		w.cfg.Chaos.Sleep(f.Delay)
+		w.cfg.Chaos.Sleep(ctx, f.Delay)
 		w.mu.Lock()
 	}
 	if !w.cfg.Sync || w.f == nil {
@@ -647,15 +657,16 @@ func (w *SessionWriter) maybeSync() error {
 
 // Finish marks the session complete (the done record) and closes the
 // writer. A finished session is skipped by recovery; the caller may
-// additionally Journal.RemoveSession to reclaim the directory.
-func (w *SessionWriter) Finish() error {
+// additionally Journal.RemoveSession to reclaim the directory. ctx names
+// the caller, as for AppendStatusCtx.
+func (w *SessionWriter) Finish(ctx context.Context) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
 	}
-	err := w.appendFrame(recDone, nil)
-	if err2 := w.maybeSync(); err == nil {
+	err := w.appendFrame(ctx, recDone, nil)
+	if err2 := w.maybeSync(ctx); err == nil {
 		err = err2
 	}
 	w.closed = true

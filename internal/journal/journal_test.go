@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -82,7 +83,7 @@ func TestJournalCheckpointCutsReplay(t *testing.T) {
 		}
 	}
 	snap := statusPayload("T1", 9) // stands in for the space snapshot
-	if err := w.Checkpoint(snap); err != nil {
+	if err := w.Checkpoint(context.Background(), snap); err != nil {
 		t.Fatal(err)
 	}
 	for i := 10; i < 13; i++ {
@@ -185,7 +186,7 @@ func TestJournalRotationPrunesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		if w.ShouldCheckpoint() {
-			if err := w.Checkpoint(statusPayload("T1", i)); err != nil {
+			if err := w.Checkpoint(context.Background(), statusPayload("T1", i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -218,7 +219,7 @@ func TestJournalDoneAndRemove(t *testing.T) {
 	if err := w.AppendStatus(statusPayload("T1", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Finish(); err != nil {
+	if err := w.Finish(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := j.ReadSession(4)
@@ -257,7 +258,7 @@ func TestJournalCrashHookDropsWrites(t *testing.T) {
 	if !w.Crashed() {
 		t.Fatal("crash hook never tripped")
 	}
-	if err := w.Finish(); err != nil {
+	if err := w.Finish(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st, err := j.ReadSession(9)

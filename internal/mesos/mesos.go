@@ -91,7 +91,11 @@ func (m *Master) Launched() int { return m.launched }
 // its node; callers release slots when tasks finish.
 func (m *Master) RunFramework(ctx context.Context, f Framework) ([]Launch, error) {
 	clock := m.cluster.Clock()
-	clock.Sleep(m.cfg.RegistrationDelay)
+	// The modelled delays run to their end (cancellation is checked
+	// between offer rounds); hctx only names the caller to a virtual
+	// clock.
+	hctx := context.WithoutCancel(ctx)
+	_ = clock.SleepCtx(hctx, m.cfg.RegistrationDelay)
 
 	var all []Launch
 	for !f.Done() {
@@ -102,7 +106,7 @@ func (m *Master) RunFramework(ctx context.Context, f Framework) ([]Launch, error
 			return all, fmt.Errorf("mesos: offer loop exceeded %d rounds", m.cfg.MaxRounds)
 		}
 		m.rounds++
-		clock.Sleep(m.cfg.OfferInterval)
+		_ = clock.SleepCtx(hctx, m.cfg.OfferInterval)
 
 		var offers []Offer
 		for _, n := range m.cluster.Nodes() {

@@ -1,6 +1,8 @@
 package mq
 
 import (
+	"context"
+
 	"ginflow/internal/failure"
 )
 
@@ -22,7 +24,7 @@ type ChaosHost interface {
 // publish to a synchronous observer (the journal's inbox write-through
 // point).
 type ObserverHost interface {
-	SetPublishObserver(func(Message))
+	SetPublishObserver(func(context.Context, Message))
 }
 
 // LogRestorer is implemented by brokers whose replay logs can be
@@ -70,16 +72,16 @@ func (c *common) chaosEnqueue(ch *failure.Schedule, sub *subscriber, tm timedMsg
 			// goroutine sleeping scaled real time in real mode, a schedule
 			// participant in virtual mode — so chaos lags are drawn in
 			// virtual time and stay deterministic.
-			c.clock.Go(func() {
-				c.clock.Sleep(lag)
+			c.clock.GoCtx(context.Background(), func(ctx context.Context) {
+				_ = c.clock.SleepCtx(ctx, lag)
 				c.chaosEnqueue(ch, sub, timedMsg{msg: tm.msg, due: c.clock.Now()}, attempt+1)
 			})
 			return
 		}
 		// Redelivery budget spent: the middleware pushes it through.
 	case failure.FaultDuplicate:
-		c.clock.Go(func() {
-			c.clock.Sleep(lag)
+		c.clock.GoCtx(context.Background(), func(ctx context.Context) {
+			_ = c.clock.SleepCtx(ctx, lag)
 			sub.enqueue(timedMsg{msg: tm.msg, due: c.clock.Now()})
 		})
 	case failure.FaultDelay:

@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -150,7 +151,7 @@ func TestRestoreLogReplacesHistory(t *testing.T) {
 func TestPublishObserverSeesEveryPublish(t *testing.T) {
 	b := NewLogBroker(chaosClock(t), 0.1)
 	var seen []Message
-	b.SetPublishObserver(func(m Message) { seen = append(seen, m) })
+	b.SetPublishObserver(func(_ context.Context, m Message) { seen = append(seen, m) })
 	if err := b.Publish("a", "x"); err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,11 @@ type Broker interface {
 	// rendered or re-parsed. The caller must not mutate the atoms after
 	// publishing.
 	PublishAtoms(topic string, atoms []hocl.Atom) error
+	// PublishAtomsCtx is PublishAtoms for a virtual-clock participant:
+	// ctx carries its handle (cluster.Clock.GoCtx) to whatever the
+	// publish may block on — the journal's inbox write-through, on a log
+	// broker. PublishAtoms is PublishAtomsCtx with context.Background().
+	PublishAtomsCtx(ctx context.Context, topic string, atoms []hocl.Atom) error
 	// Subscribe registers a consumer. Messages published after the
 	// subscription are delivered on C (per message) or Batches (in
 	// due-order batches).
@@ -906,6 +911,12 @@ func (b *QueueBroker) Publish(topic, payload string) error {
 
 // PublishAtoms delivers a structural payload to current subscribers only.
 func (b *QueueBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
+	return b.PublishAtomsCtx(context.Background(), topic, atoms)
+}
+
+// PublishAtomsCtx is PublishAtoms; the queue broker never blocks, so ctx
+// is unused.
+func (b *QueueBroker) PublishAtomsCtx(_ context.Context, topic string, atoms []hocl.Atom) error {
 	if err := b.checkOpen(); err != nil {
 		return err
 	}
@@ -932,7 +943,7 @@ type LogBroker struct {
 	// observer, when set, sees every accepted publish — the journal's
 	// inbox write-through point (DESIGN.md "Fault model & chaos
 	// harness").
-	observer atomic.Pointer[func(Message)]
+	observer atomic.Pointer[func(context.Context, Message)]
 }
 
 // DefaultLogLatency is the modelled per-message latency of the log
@@ -966,17 +977,23 @@ func NewLogBrokerSharded(clock *cluster.Clock, latency float64, shards int) *Log
 
 // Publish appends to the topic log, then delivers to subscribers.
 func (b *LogBroker) Publish(topic, payload string) error {
-	return b.append(Message{Topic: topic, Payload: payload})
+	return b.append(context.Background(), Message{Topic: topic, Payload: payload})
 }
 
 // PublishAtoms appends a structural payload to the topic log, then
 // delivers it. The log retains the atoms by reference: replay hands the
 // same frozen molecules back, so recovery pays no re-parse either.
 func (b *LogBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
-	return b.append(Message{Topic: topic, Atoms: atoms})
+	return b.append(context.Background(), Message{Topic: topic, Atoms: atoms})
 }
 
-func (b *LogBroker) append(msg Message) error {
+// PublishAtomsCtx is PublishAtoms with the publisher's ctx handed to the
+// publish observer.
+func (b *LogBroker) PublishAtomsCtx(ctx context.Context, topic string, atoms []hocl.Atom) error {
+	return b.append(ctx, Message{Topic: topic, Atoms: atoms})
+}
+
+func (b *LogBroker) append(ctx context.Context, msg Message) error {
 	if err := b.checkOpen(); err != nil {
 		return err
 	}
@@ -990,17 +1007,18 @@ func (b *LogBroker) append(msg Message) error {
 	// its own, e.g. the journal writer's) and before delivery, so a
 	// journaled message is durable before any consumer can act on it.
 	if obs := b.observer.Load(); obs != nil {
-		(*obs)(msg)
+		(*obs)(ctx, msg)
 	}
 	b.deliver(msg)
 	return nil
 }
 
 // SetPublishObserver registers fn, invoked synchronously for every
-// accepted publish, after the message is appended to the log and before
-// it is delivered. One observer at a time; install it before traffic
-// flows. The Manager uses it to journal agent inboxes write-through.
-func (b *LogBroker) SetPublishObserver(fn func(Message)) {
+// accepted publish with the publisher's ctx, after the message is
+// appended to the log and before it is delivered. One observer at a
+// time; install it before traffic flows. The Manager uses it to journal
+// agent inboxes write-through.
+func (b *LogBroker) SetPublishObserver(fn func(context.Context, Message)) {
 	if fn == nil {
 		b.observer.Store(nil)
 		return

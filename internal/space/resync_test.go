@@ -1,6 +1,7 @@
 package space
 
 import (
+	"context"
 	"testing"
 
 	"ginflow/internal/hocl"
@@ -26,7 +27,7 @@ func badDelta(task string) mq.Message {
 func TestResyncRequestedOnDeltaMismatch(t *testing.T) {
 	s := New()
 	var asked []string
-	s.SetResyncRequester(func(task string) { asked = append(asked, task) })
+	s.SetResyncRequester(func(_ context.Context, task string) { asked = append(asked, task) })
 
 	s.ApplyMessage(fullPush("T1", hocl.Str("a")))
 	if len(asked) != 0 {
@@ -68,15 +69,15 @@ func TestResyncRequestedOnDeltaMismatch(t *testing.T) {
 func TestRequestResyncForced(t *testing.T) {
 	s := New()
 	var asked []string
-	s.SetResyncRequester(func(task string) { asked = append(asked, task) })
+	s.SetResyncRequester(func(_ context.Context, task string) { asked = append(asked, task) })
 
-	s.RequestResync("T1")
-	s.RequestResync("T1")
+	s.RequestResync(context.Background(), "T1")
+	s.RequestResync(context.Background(), "T1")
 	if len(asked) != 1 {
 		t.Fatalf("forced resync not deduplicated: %v", asked)
 	}
 	s.ApplyMessage(fullPush("T1", hocl.Str("x")))
-	s.RequestResync("T1")
+	s.RequestResync(context.Background(), "T1")
 	if len(asked) != 2 {
 		t.Fatalf("forced resync after heal: %v", asked)
 	}
@@ -86,7 +87,7 @@ func TestRequestResyncForced(t *testing.T) {
 func TestResyncWithoutRequesterIsSafe(t *testing.T) {
 	s := New()
 	s.ApplyMessage(badDelta("T1"))
-	s.RequestResync("T1")
+	s.RequestResync(context.Background(), "T1")
 	if _, fallbacks := s.DeltaStats(); fallbacks != 1 {
 		t.Fatalf("fallbacks = %d, want 1", fallbacks)
 	}

@@ -104,7 +104,7 @@ type Space struct {
 	// asks the agent for an immediate full push instead of staying stale
 	// until the agent's next natural snapshot. resyncPending dedups the
 	// requests — one per task until a full snapshot heals it.
-	resync        func(task string)
+	resync        func(ctx context.Context, task string)
 	resyncPending map[string]bool
 	resyncWant    []string // requests accumulated under the current fold
 	resyncSent    int64
@@ -163,18 +163,20 @@ func (s *Space) StaleDrops() int64 {
 // called with a task name whenever a delta for it could not be applied
 // (unknown task or fingerprint mismatch), at most once per task until a
 // full snapshot for that task arrives. fn is invoked outside the space
-// lock, after the batch that tripped it has been folded. Typically fn
-// publishes a hoclflow.ResyncMarker to the task's inbox topic.
-func (s *Space) SetResyncRequester(fn func(task string)) {
+// lock, after the batch that tripped it has been folded, with the ctx
+// of the call that folded it. Typically fn publishes a
+// hoclflow.ResyncMarker to the task's inbox topic.
+func (s *Space) SetResyncRequester(fn func(ctx context.Context, task string)) {
 	s.mu.Lock()
 	s.resync = fn
 	s.mu.Unlock()
 }
 
 // RequestResync asks the task's agent for a full status push through
-// the installed resync requester (a no-op without one). Recovery uses
-// it to force post-resume convergence of every rebuilt task.
-func (s *Space) RequestResync(task string) {
+// the installed resync requester (a no-op without one), passing it ctx.
+// Recovery uses it to force post-resume convergence of every rebuilt
+// task.
+func (s *Space) RequestResync(ctx context.Context, task string) {
 	s.mu.Lock()
 	fn := s.resync
 	pending := s.resyncPending[task]
@@ -184,7 +186,7 @@ func (s *Space) RequestResync(task string) {
 	}
 	s.mu.Unlock()
 	if fn != nil && !pending {
-		fn(task)
+		fn(ctx, task)
 	}
 }
 
@@ -492,15 +494,15 @@ func (s *Space) ServeHooked(ctx context.Context, broker mq.Broker, topic string,
 	for {
 		select {
 		case <-ctx.Done():
-			s.FlushDeferred()
+			s.FlushDeferred(ctx)
 			return ctx.Err()
 		case <-tick:
-			s.FlushDeferred()
+			s.FlushDeferred(ctx)
 		case batch := <-batches:
 			if before != nil {
 				before(batch)
 			}
-			s.applyBatchChaos(batch)
+			s.applyBatchChaos(ctx, batch)
 			if after != nil {
 				after()
 			}
@@ -518,16 +520,16 @@ func (s *Space) ServeHooked(ctx context.Context, broker mq.Broker, topic string,
 func (s *Space) serveVirtual(ctx context.Context, sub *mq.Subscription, before func([]mq.Message), after func()) error {
 	for {
 		if err := ctx.Err(); err != nil {
-			s.FlushDeferred()
+			s.FlushDeferred(ctx)
 			return err
 		}
 		batch := sub.TryNext()
 		if batch == nil {
-			s.FlushDeferred()
+			s.FlushDeferred(ctx)
 			var err error
 			batch, err = sub.Next(ctx)
 			if err != nil {
-				s.FlushDeferred()
+				s.FlushDeferred(ctx)
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
@@ -537,7 +539,7 @@ func (s *Space) serveVirtual(ctx context.Context, sub *mq.Subscription, before f
 		if before != nil {
 			before(batch)
 		}
-		s.applyBatchChaos(batch)
+		s.applyBatchChaos(ctx, batch)
 		if after != nil {
 			after()
 		}
@@ -560,10 +562,10 @@ func (s *Space) SetChaos(sched *failure.Schedule) {
 // messages rejoin at the next fold, oldest first, so they arrive out of
 // order relative to their successors. The perturbation lives only on
 // the serve path: ApplyBatch itself stays pure for recovery replay.
-func (s *Space) applyBatchChaos(batch []mq.Message) {
+func (s *Space) applyBatchChaos(ctx context.Context, batch []mq.Message) {
 	sched := s.chaos.Load()
 	if !sched.Enabled() {
-		s.ApplyBatch(batch)
+		s.applyBatch(ctx, batch)
 		return
 	}
 	s.deferMu.Lock()
@@ -586,7 +588,7 @@ func (s *Space) applyBatchChaos(batch []mq.Message) {
 		}
 	}
 	if len(apply) > 0 {
-		s.ApplyBatch(apply)
+		s.applyBatch(ctx, apply)
 	}
 	if len(held) > 0 {
 		s.deferMu.Lock()
@@ -598,8 +600,9 @@ func (s *Space) applyBatchChaos(batch []mq.Message) {
 // FlushDeferred folds every chaos-deferred message immediately,
 // returning how many decoded. The engine calls it after the chaos
 // settle window, before reading results — deferred state must land
-// before anyone fingerprints the space.
-func (s *Space) FlushDeferred() int {
+// before anyone fingerprints the space. ctx is the caller's, handed to
+// the resync requester.
+func (s *Space) FlushDeferred(ctx context.Context) int {
 	s.deferMu.Lock()
 	pending := s.deferred
 	s.deferred = nil
@@ -607,7 +610,7 @@ func (s *Space) FlushDeferred() int {
 	if len(pending) == 0 {
 		return 0
 	}
-	return s.ApplyBatch(pending)
+	return s.applyBatch(ctx, pending)
 }
 
 // copyMsg deep-copies a broker-owned message for retention beyond the
@@ -636,8 +639,12 @@ func (s *Space) TaskStates() map[string]*hocl.Solution {
 // ApplyBatch folds a batch of status messages into the space under one
 // lock acquisition and one waiter wakeup, returning how many decoded.
 // The batch slice is not retained — safe to call with a broker-owned
-// batch.
+// batch. Resync requests it trips go out with context.Background().
 func (s *Space) ApplyBatch(msgs []mq.Message) int {
+	return s.applyBatch(context.Background(), msgs)
+}
+
+func (s *Space) applyBatch(ctx context.Context, msgs []mq.Message) int {
 	n := 0
 	s.mu.Lock()
 	applied := int64(0)
@@ -649,7 +656,7 @@ func (s *Space) ApplyBatch(msgs []mq.Message) int {
 	s.finishApplyLocked(applied)
 	fn, want := s.takeResyncLocked()
 	s.mu.Unlock()
-	fireResync(fn, want)
+	fireResync(ctx, fn, want)
 	return n
 }
 
@@ -663,14 +670,14 @@ func (s *Space) ApplyMessage(msg mq.Message) bool {
 	s.finishApplyLocked(applied)
 	fn, want := s.takeResyncLocked()
 	s.mu.Unlock()
-	fireResync(fn, want)
+	fireResync(context.Background(), fn, want)
 	return ok
 }
 
 // takeResyncLocked drains the resync requests accumulated by the fold
 // just performed; the caller fires them after releasing the lock, so
 // the requester callback can publish without re-entering the space.
-func (s *Space) takeResyncLocked() (func(task string), []string) {
+func (s *Space) takeResyncLocked() (func(ctx context.Context, task string), []string) {
 	if s.resync == nil || len(s.resyncWant) == 0 {
 		return nil, nil
 	}
@@ -679,12 +686,12 @@ func (s *Space) takeResyncLocked() (func(task string), []string) {
 	return s.resync, want
 }
 
-func fireResync(fn func(task string), tasks []string) {
+func fireResync(ctx context.Context, fn func(ctx context.Context, task string), tasks []string) {
 	if fn == nil {
 		return
 	}
 	for _, t := range tasks {
-		fn(t)
+		fn(ctx, t)
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -362,6 +363,12 @@ func (rb *RemoteBroker) Publish(topic, payload string) error {
 // codec, to the serving broker.
 func (rb *RemoteBroker) PublishAtoms(topic string, atoms []hocl.Atom) error {
 	return rb.publish(topic, kindStructural, hocl.EncodeAtoms(atoms))
+}
+
+// PublishAtomsCtx is PublishAtoms: a remote broker runs on the real
+// clock, where a publish names no participant.
+func (rb *RemoteBroker) PublishAtomsCtx(_ context.Context, topic string, atoms []hocl.Atom) error {
+	return rb.PublishAtoms(topic, atoms)
 }
 
 func (rb *RemoteBroker) publish(topic string, kind byte, data []byte) error {

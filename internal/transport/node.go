@@ -236,7 +236,7 @@ func (n *Node) buildSession(session uint64, blob []byte) (*nodeSession, error) {
 	var chaos *failure.Schedule
 	if a.Chaos.Enabled() {
 		chaos = failure.NewSchedule(a.Chaos)
-		chaos.SetSleeper(clock.Sleep)
+		chaos.SetSleeper(clock.SleepCtx)
 	}
 
 	ns := &nodeSession{

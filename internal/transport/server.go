@@ -494,7 +494,7 @@ func (s *Server) chaosGo(delay float64, fn func()) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.cfg.Chaos.Sleep(delay)
+		s.cfg.Chaos.Sleep(context.Background(), delay)
 		fn()
 	}()
 }

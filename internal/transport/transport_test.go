@@ -22,7 +22,7 @@ func newTestServer(t *testing.T, chaos *failure.Schedule) (*Server, *mq.LogBroke
 	clock := cluster.NewClock(50 * time.Microsecond)
 	br := mq.NewLogBrokerSharded(clock, 0.001, 4)
 	if chaos != nil {
-		chaos.SetSleeper(clock.Sleep)
+		chaos.SetSleeper(clock.SleepCtx)
 	}
 	srv, err := Listen("127.0.0.1:0", ServerConfig{Broker: br, Chaos: chaos})
 	if err != nil {
