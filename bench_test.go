@@ -314,6 +314,30 @@ func BenchmarkAblationTranslate(b *testing.B) {
 	}
 }
 
+// BenchmarkAgentSetup measures per-session agent deployment: translating
+// a 10x10 diamond to agent specs and building one agent incarnation per
+// spec, before any message moves. Guarded by cmd/benchguard
+// (internal/bench/baseline.json): what agents hold in common — the
+// built-in function table, the generic rules, the settled SRC/DST/IN/RES
+// sub-solutions of the template — must stay shared, not copied per
+// agent.
+func BenchmarkAgentSetup(b *testing.B) {
+	def := workflow.Diamond(workflow.DefaultDiamondSpec(10, 10, false))
+	clus := cluster.New(cluster.Config{Nodes: 4, CoresPerNode: 4, Virtual: true})
+	services := benchServices()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		specs, err := def.TranslateAgents()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, spec := range specs {
+			agent.New(agent.Config{Spec: spec, Cluster: clus, Services: services})
+		}
+	}
+}
+
 // --- Hot-path benchmarks (message path and reduction engine) ---------------
 
 // BenchmarkReduceDiamondRules measures the agent-side reduction of one
@@ -342,9 +366,10 @@ func BenchmarkReduceDiamondRules(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Snapshot + shared ingest is the agent's instantiation path: a
-		// copy-on-write template copy, and wire atoms added by reference.
-		sol := tmpl.SnapshotSolution()
+		// Shell + shared ingest is the agent's instantiation path: a fresh
+		// top-level shell over the template's inert attributes, and wire
+		// atoms added by reference.
+		sol := tmpl.Shell()
 		sol.Add(passes...)
 		if err := engine.Reduce(sol); err != nil {
 			b.Fatal(err)

@@ -160,24 +160,26 @@ type Agent struct {
 	// is a duplicate delivery and is suppressed; a repeat with a
 	// different fingerprint is a respawned sender reusing its counter
 	// and is accepted. Touched only by the ingest goroutine.
-	seen map[string]map[int64]uint64
+	seen map[seqKey]uint64
 	dups atomic.Int64
 
 	// met is the resolved instrument set (zero value: all no-ops).
 	met Metrics
 }
 
-// New builds an agent incarnation from its spec. The spec's template
-// solution is snapshotted (copy-on-write at the solution boundary):
+// New builds an agent incarnation from its spec. The agent gets a fresh
+// top-level shell over the spec's template solution (hocl.Solution.Shell):
 // every incarnation starts from the pristine task state and rebuilds
-// through replay, per §IV-B's soft-state design, while immutable atoms
-// and rules stay shared with the template.
+// through replay, per §IV-B's soft-state design, while the template's
+// atoms — rules, and the inert SRC/DST/IN/RES attribute sub-solutions —
+// stay shared with it, since the engine never writes to an inert
+// solution.
 func New(cfg Config) *Agent {
 	a := &Agent{
 		cfg:  cfg,
 		name: cfg.Spec.Task.Name,
 	}
-	a.local = cfg.Spec.Local.SnapshotSolution()
+	a.local = cfg.Spec.Local.Shell()
 	a.statusEnc.Task = a.name
 	a.statusEnc.Incarnation = cfg.Incarnation
 	a.rng = cfg.Rand
@@ -362,11 +364,10 @@ func (a *Agent) rideOutFaults(svcName string, dur float64) (float64, error) {
 
 // send implements the decentralised gw_pass product (§IV-A): ship the
 // result molecules directly to the destination agent's inbox. The
-// payload is structural — the result atoms are snapshotted (solutions
-// get independent shells, immutable atoms travel by reference) and
-// handed to the broker pre-built, never rendered to text. Link latency
-// to the destination's node is charged asynchronously — the message is
-// on the wire, the sender moves on.
+// payload is structural — PassMessage freezes the result atoms
+// (gw_send matches only an inert RES, so they travel by reference) —
+// and is handed to the broker pre-built, never rendered to text. Link latency to the destination's node is charged
+// asynchronously — the message is on the wire, the sender moves on.
 func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 	if len(args) < 1 {
 		return nil, fmt.Errorf("send: missing destination")
@@ -376,7 +377,7 @@ func (a *Agent) send(args []hocl.Atom) ([]hocl.Atom, error) {
 		return nil, fmt.Errorf("send: destination is %s, want task name", args[0].Kind())
 	}
 	topic := Topic(a.cfg.TopicPrefix, string(dst))
-	payload := a.stampSeq(topic, hoclflow.PassMessage(a.name, hocl.SnapshotAtoms(args[1:])))
+	payload := a.stampSeq(topic, hoclflow.PassMessage(a.name, args[1:]))
 	// gw_send only ships a non-ERROR result, so the task has completed:
 	// say so before the result can reach a successor, which may complete
 	// in turn before this reduction returns.
@@ -422,18 +423,21 @@ func (a *Agent) stampSeq(topic string, body hocl.Atom) []hocl.Atom {
 func (a *Agent) dupSeq(origin string, n int64, payload []hocl.Atom) bool {
 	fp := hocl.Fingerprint(payload...)
 	if a.seen == nil {
-		a.seen = map[string]map[int64]uint64{}
+		a.seen = map[seqKey]uint64{}
 	}
-	m := a.seen[origin]
-	if m == nil {
-		m = map[int64]uint64{}
-		a.seen[origin] = m
-	}
-	if prev, ok := m[n]; ok && prev == fp {
+	k := seqKey{origin, n}
+	if prev, ok := a.seen[k]; ok && prev == fp {
 		return true
 	}
-	m[n] = fp
+	a.seen[k] = fp
 	return false
+}
+
+// seqKey identifies one direct message: its sending task and the SEQ
+// number that sender stamped on it.
+type seqKey struct {
+	origin string
+	seq    int64
 }
 
 func (a *Agent) linkLatencyTo(peer string) float64 {

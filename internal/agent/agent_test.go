@@ -406,6 +406,64 @@ func TestIngestSharesFrozenAtoms(t *testing.T) {
 	}
 }
 
+// TestStatusPushSharesSettledState pins status pushes by sharing: the
+// full push carries the agent's inert SRC/DST/IN/RES tuples by
+// reference, not as copies, and the agent's later reductions — which
+// consume and rebuild those tuples — leave the sub-solution the space
+// recorded from that push unchanged.
+func TestStatusPushSharesSettledState(t *testing.T) {
+	clus := testCluster()
+	broker := mq.NewQueueBroker(clus.Clock(), 0.0001)
+	statusSub, err := broker.Subscribe(space.DefaultTopic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, c := twoAgentSpecs(t)
+	a := New(Config{
+		Spec: c, Broker: broker, Cluster: clus, Node: clus.Node(0),
+		Services: noopRegistry(0, "s2"),
+	})
+	if err := a.reduce(); err != nil { // waits on T1: settles and pushes
+		t.Fatal(err)
+	}
+	batch, err := statusSub.Next(ctx)
+	if err != nil || len(batch) != 1 {
+		t.Fatalf("status push: %v, %v", batch, err)
+	}
+	sp := space.New()
+	if !sp.ApplyMessage(batch[0]) {
+		t.Fatalf("space refused the push: %v", batch[0].Atoms)
+	}
+	src, _ := a.local.FindTuple(hoclflow.KeySRC)
+	pushed := batch[0].Atoms[1].(hocl.Tuple)[1].(*hocl.Solution)
+	pushedSrc, _ := pushed.FindTuple(hoclflow.KeySRC)
+	if pushedSrc == nil || pushedSrc[1].(*hocl.Solution) != src[1].(*hocl.Solution) {
+		t.Errorf("pushed SRC is a copy, want the agent's inert SRC by reference")
+	}
+	recorded := sp.TaskStates()["T2"]
+	before := hocl.Fingerprint(recorded.Atoms()...)
+	spaceBefore := sp.StateFingerprint()
+
+	a.ingest(mq.Message{Atoms: []hocl.Atom{hoclflow.PassMessage("T1", []hocl.Atom{hocl.Str("r")})}})
+	if err := a.engine.Reduce(a.local); err != nil {
+		t.Fatal(err)
+	}
+	if st := hoclflow.StatusOf(a.local); st != hoclflow.StatusCompleted {
+		t.Fatalf("agent state after PASS = %v, want completed", st)
+	}
+	if got := hocl.Fingerprint(sp.TaskStates()["T2"].Atoms()...); got != before {
+		t.Errorf("recorded sub-solution changed under later reductions: %x -> %x", before, got)
+	}
+	if got := sp.StateFingerprint(); got != spaceBefore {
+		t.Errorf("space fingerprint changed without a push: %x -> %x", spaceBefore, got)
+	}
+	if st := sp.Status("T2"); st != hoclflow.StatusIdle {
+		t.Errorf("space status = %v, want the pushed idle state", st)
+	}
+}
+
 // TestResyncMarkerForcesFullPush: a RESYNC control message resets the
 // status encoder — the next push is a full snapshot even though the
 // local state is unchanged — and never enters the local solution.

@@ -42,7 +42,8 @@ func BenchmarkEvalGuard(b *testing.B) {
 // engine's firing path: a one-shot rule whose products exercise every
 // constructor opcode — an omega splice into a call, a nested tuple, and
 // a fresh sub-solution with a second splice. Per iteration the template
-// is snapshotted (the agent instantiation path) and reduced to inertness,
+// is copied the way an agent copies its template (Solution.Shell: the
+// parsed IN is active, so it is snapshotted) and reduced to inertness,
 // which fires the rule exactly once.
 func BenchmarkEvalProducts(b *testing.B) {
 	tmpl, err := hocl.Parse(
@@ -55,7 +56,7 @@ func BenchmarkEvalProducts(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol := tmpl.SnapshotSolution()
+		sol := tmpl.Shell()
 		if err := engine.Reduce(sol); err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ginflow/internal/agent"
@@ -337,7 +338,10 @@ func removeRule(sol *hocl.Solution, name string) {
 	}
 }
 
-// addDestination ensures the local solution's DST set contains dst.
+// addDestination ensures the local solution's DST set contains dst. A
+// DST tuple that lacks it is replaced by a new one rather than written
+// into: the template's attribute sub-solutions are inert and shared by
+// reference with every agent built from it.
 func addDestination(sol *hocl.Solution, dst string) {
 	tp, idx := sol.FindTuple(hoclflow.KeyDST)
 	if idx < 0 || len(tp) != 2 {
@@ -345,12 +349,11 @@ func addDestination(sol *hocl.Solution, dst string) {
 		return
 	}
 	inner, ok := tp[1].(*hocl.Solution)
-	if !ok {
+	if !ok || inner.Contains(hocl.Ident(dst)) {
 		return
 	}
-	if !inner.Contains(hocl.Ident(dst)) {
-		inner.Add(hocl.Ident(dst))
-	}
+	dsts := append(slices.Clip(inner.Atoms()), hocl.Ident(dst))
+	sol.ReplaceAt(idx, hocl.Tuple{hoclflow.KeyDST, hocl.NewSolution(dsts...)})
 }
 
 func intersects(a, b []string) bool {

@@ -1,7 +1,10 @@
 package hocl
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -190,17 +193,78 @@ func TestFuncsRegistryOps(t *testing.T) {
 			t.Errorf("Names not sorted: %v", names)
 		}
 	}
-	g := &Funcs{}
-	f.CloneInto(g)
-	if _, ok := g.Lookup("custom"); !ok {
-		t.Error("CloneInto missed a function")
-	}
-	// Zero value is usable.
+	// Zero value is usable, and resolves no built-ins.
 	var z Funcs
 	z.Register("zv", func(args []Atom) ([]Atom, error) { return nil, nil })
 	if _, ok := z.Lookup("zv"); !ok {
 		t.Error("zero-value registry unusable")
 	}
+	if _, ok := z.Lookup("len"); ok {
+		t.Error("zero-value registry resolves a built-in")
+	}
+}
+
+// TestFuncsSharedBuiltins pins the shared built-in table: registries
+// from NewFuncs resolve the same built-ins without copying them, and a
+// registration shadows a built-in in its own registry only.
+func TestFuncsSharedBuiltins(t *testing.T) {
+	f, g := NewFuncs(), NewFuncs()
+	f.Register("len", func(args []Atom) ([]Atom, error) { return []Atom{Int(-1)}, nil })
+	arg := []Atom{List{Int(1), Int(2)}}
+	fn, _ := f.Lookup("len")
+	if out, _ := fn(arg); !out[0].Equal(Int(-1)) {
+		t.Errorf("override not visible in its registry: %v", out)
+	}
+	fn, _ = g.Lookup("len")
+	if out, _ := fn(arg); !out[0].Equal(Int(2)) {
+		t.Errorf("override leaked into another registry: %v", out)
+	}
+	names := g.Names()
+	for _, want := range []string{"len", "list", "sum", "contains"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("Names() = %v, missing built-in %q", names, want)
+		}
+	}
+	fNames := f.Names()
+	if !slices.Equal(fNames, names) {
+		t.Errorf("overriding a built-in changed the name set: %v vs %v", fNames, names)
+	}
+	f.Register("custom", func(args []Atom) ([]Atom, error) { return nil, nil })
+	if got := len(f.Names()); got != len(names)+1 {
+		t.Errorf("Names() has %d entries after one new registration, want %d", got, len(names)+1)
+	}
+	if _, ok := g.Lookup("custom"); ok {
+		t.Error("registration leaked into another registry")
+	}
+}
+
+// TestFuncsConcurrentLookupRegister runs lookups of built-ins and of
+// own registrations against concurrent registrations; -race checks the
+// registry's locking and that the shared table is only read.
+func TestFuncsConcurrentLookupRegister(t *testing.T) {
+	regs := []*Funcs{NewFuncs(), NewFuncs()}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		f := regs[w%2]
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				name := fmt.Sprintf("fn%d_%d", w, i%8)
+				f.Register(name, func(args []Atom) ([]Atom, error) { return nil, nil })
+				if _, ok := f.Lookup(name); !ok {
+					t.Errorf("lookup of %s after registering it failed", name)
+					return
+				}
+				if _, ok := f.Lookup("list"); !ok {
+					t.Error("built-in list missing")
+					return
+				}
+				_ = f.Names()
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestBindingUndo(t *testing.T) {

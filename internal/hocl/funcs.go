@@ -21,14 +21,31 @@ import (
 type Func func(args []Atom) ([]Atom, error)
 
 // Funcs is a registry of external functions. The zero value is empty and
-// ready to use; NewFuncs returns a registry preloaded with the built-ins.
-// Registries are safe for concurrent lookup and registration.
+// ready to use; NewFuncs returns a registry that also resolves the
+// built-ins. Registries are safe for concurrent lookup and registration.
+//
+// The built-ins live in one immutable table shared by every registry
+// NewFuncs returns: a registry holds only its own registrations and
+// falls back to the shared table on lookup, so ten thousand agents
+// carry ten thousand small maps of agent-bound functions, not ten
+// thousand copies of the standard library. A registration shadows a
+// built-in of the same name in that registry only.
 type Funcs struct {
-	mu sync.RWMutex
-	m  map[string]Func
+	mu   sync.RWMutex
+	m    map[string]Func
+	base map[string]Func // shared built-in table (read-only); nil for the zero value
 }
 
-// NewFuncs returns a registry containing the built-in functions:
+// builtinTable is the shared built-in table, built on first use and
+// never written afterwards.
+var builtinTable = sync.OnceValue(func() map[string]Func {
+	var f Funcs
+	f.registerBuiltins()
+	f.registerListBuiltins()
+	return f.m
+})
+
+// NewFuncs returns a registry resolving the built-in functions:
 //
 //	list(a1, ..., an)   -> [a1, ..., an]          (paper footnote 4)
 //	len(x)              -> element count of a list, solution, tuple or string
@@ -37,11 +54,10 @@ type Funcs struct {
 //	concat(l1, l2)      -> concatenated lists
 //	str(a...)           -> string rendering of atoms, concatenated
 //	flatten(l)          -> splices a list's elements into the molecule list
+//
+// plus the numeric and list utilities of registerListBuiltins.
 func NewFuncs() *Funcs {
-	f := &Funcs{m: map[string]Func{}}
-	f.registerBuiltins()
-	f.registerListBuiltins()
-	return f
+	return &Funcs{base: builtinTable()}
 }
 
 // Register adds (or replaces) a function under the given name.
@@ -54,34 +70,34 @@ func (f *Funcs) Register(name string, fn Func) {
 	f.m[name] = fn
 }
 
-// Lookup returns the function registered under name.
+// Lookup returns the function registered under name, falling back to
+// the built-ins.
 func (f *Funcs) Lookup(name string) (Func, bool) {
 	f.mu.RLock()
-	defer f.mu.RUnlock()
 	fn, ok := f.m[name]
+	f.mu.RUnlock()
+	if !ok {
+		fn, ok = f.base[name]
+	}
 	return fn, ok
 }
 
-// Names returns the sorted registered function names.
+// Names returns the sorted names the registry resolves: its own
+// registrations and the built-ins.
 func (f *Funcs) Names() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	names := make([]string, 0, len(f.m))
+	names := make([]string, 0, len(f.m)+len(f.base))
 	for n := range f.m {
 		names = append(names, n)
 	}
+	for n := range f.base {
+		if _, shadowed := f.m[n]; !shadowed {
+			names = append(names, n)
+		}
+	}
 	sort.Strings(names)
 	return names
-}
-
-// CloneInto copies every registration into dst (used by agents that extend
-// the shared built-ins with instance-bound functions).
-func (f *Funcs) CloneInto(dst *Funcs) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for n, fn := range f.m {
-		dst.Register(n, fn)
-	}
 }
 
 func (f *Funcs) registerBuiltins() {

@@ -3,6 +3,7 @@ package hocl
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // DefaultMaxSteps bounds a single Reduce call; programs that exceed it are
@@ -38,15 +39,23 @@ type Engine struct {
 
 	steps int
 
-	// scratch is the reusable matcher (used-flags and binding); its state
-	// is only live within one fireOne candidate attempt, so a single
-	// instance serves the whole (sequential) reduction.
-	scratch matcher
 	// ruleOrd / candOrd are reusable permutation buffers for the
 	// chemically non-deterministic (Rand != nil) mode.
 	ruleOrd []int
 	candOrd []int
 }
+
+// matcherPool recycles matcher scratch (reservation flags, binding,
+// backtracking stacks, expression machine) across engines. A matcher's
+// state is only live within one fireOne candidate attempt, so one
+// instance serves a whole sequential Reduce: Reduce takes it from the
+// pool on entry and puts it back on return, and nothing — engine,
+// Match or binding — may keep it after that. Ten thousand mostly idle
+// agents therefore share the few matchers that are reducing at once
+// instead of each growing its own. An idle pooled matcher still points
+// at the last solution it matched until its next reset; the pool drops
+// idle entries within two garbage collections, which bounds that.
+var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
 // NewEngine returns an engine with the built-in function registry.
 func NewEngine() *Engine { return &Engine{Funcs: NewFuncs()} }
@@ -62,15 +71,21 @@ func (e *ErrDiverged) Error() string {
 // use on the same solution; each service agent owns one engine and one
 // local solution (paper §IV-A), which is exactly how GinFlow avoids
 // coherency problems.
+//
+// The matcher scratch comes from a pool for the length of the call. A
+// panicking external function abandons it to the collector rather than
+// returning it mid-match.
 func (e *Engine) Reduce(sol *Solution) error {
+	m := matcherPool.Get().(*matcher)
 	e.steps = 0
-	err := e.reduce(sol, 0)
+	err := e.reduce(m, sol, 0)
 	// Flush the pass's locally accumulated counts to the process-wide
 	// metrics — three atomic adds per Reduce, nothing per firing.
 	metReduceCalls.Inc()
 	metRuleFirings.Add(int64(e.steps))
-	metGuardRejections.Add(e.scratch.guardRejects)
-	e.scratch.guardRejects = 0
+	metGuardRejections.Add(m.guardRejects)
+	m.guardRejects = 0
+	matcherPool.Put(m)
 	return err
 }
 
@@ -91,7 +106,7 @@ func (e *Engine) maxSteps() int {
 	return DefaultMaxSteps
 }
 
-func (e *Engine) reduce(sol *Solution, depth int) error {
+func (e *Engine) reduce(m *matcher, sol *Solution, depth int) error {
 	if sol.Inert() {
 		return nil
 	}
@@ -107,11 +122,11 @@ func (e *Engine) reduce(sol *Solution, depth int) error {
 			if sub.Inert() {
 				continue
 			}
-			if err := e.reduce(sub, depth+1); err != nil {
+			if err := e.reduce(m, sub, depth+1); err != nil {
 				return err
 			}
 		}
-		fired, err := e.fireOne(sol, depth)
+		fired, err := e.fireOne(m, sol, depth)
 		if err != nil {
 			return err
 		}
@@ -125,9 +140,9 @@ func (e *Engine) reduce(sol *Solution, depth int) error {
 // fireOne tries every rule in sol and applies the first match found,
 // reporting whether anything fired. Rule positions come from the
 // solution's cached rule index, so atom-heavy solutions are not rescanned
-// per firing; matcher state and permutation buffers are engine-owned and
-// reused across attempts.
-func (e *Engine) fireOne(sol *Solution, depth int) (bool, error) {
+// per firing; the matcher (Reduce's pooled scratch) and the permutation
+// buffers are reused across attempts.
+func (e *Engine) fireOne(m *matcher, sol *Solution, depth int) (bool, error) {
 	rules := sol.ruleIndices()
 	if len(rules) == 0 {
 		return false, nil
@@ -143,16 +158,16 @@ func (e *Engine) fireOne(sol *Solution, depth int) (bool, error) {
 		// The candidate permutation covers the top level; the matcher
 		// draws per-context permutations from Rand itself, so nested
 		// solution patterns see the same chemical non-determinism.
-		e.scratch.reset(sol, e.funcs(), e.permInto(&e.candOrd, sol.Len()), e.Rand)
-		m := e.scratch.matchRule(r, idx)
-		if m == nil {
+		m.reset(sol, e.funcs(), e.permInto(&e.candOrd, sol.Len()), e.Rand)
+		match := m.matchRule(r, idx)
+		if match == nil {
 			continue
 		}
 		e.steps++
 		if e.steps > e.maxSteps() {
 			return false, &ErrDiverged{Steps: e.maxSteps()}
 		}
-		if err := r.applyVM(sol, m, idx, e.funcs(), &e.scratch.vm); err != nil {
+		if err := r.applyVM(sol, match, idx, e.funcs(), &m.vm); err != nil {
 			return false, err
 		}
 		if e.Trace != nil {

@@ -1,7 +1,9 @@
 package hocl
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -389,4 +391,45 @@ func TestPaperWorkflowRulesEndToEnd(t *testing.T) {
 	if !res[1].(*Solution).Contains(Str("out-s4")) {
 		t.Errorf("T4 RES = %v", res[1])
 	}
+}
+
+// TestConcurrentReducesShareNoMatcherState runs independent engines in
+// parallel, each reducing its own programs with pooled matcher scratch.
+// Every result must be exact, and under -race any matcher handed to two
+// reductions at once — or kept by an engine after its Reduce returned —
+// shows up as a data race.
+func TestConcurrentReducesShareNoMatcherState(t *testing.T) {
+	const workers, rounds = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			e := NewEngine()
+			if w%2 == 1 {
+				e.Rand = rand.New(rand.NewSource(int64(w)))
+			}
+			for i := 0; i < rounds; i++ {
+				top := 100*(w+1) + i
+				src := fmt.Sprintf(`let add = replace A:a, B:b by C:(a+b) in let max = replace x, y by x if x >= y in <%d, 3, %d, 1, <A:%d, B:%d, add>, max>`,
+					top, top-1, w, i)
+				sol, err := e.Run(src)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var inner *Solution
+				for _, a := range sol.Atoms() {
+					if s, ok := a.(*Solution); ok {
+						inner = s
+					}
+				}
+				if !sol.Contains(Int(top)) || inner == nil || !inner.Contains(Tuple{Ident("C"), Int(w + i)}) {
+					t.Errorf("worker %d round %d: %v", w, i, sol)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -25,15 +25,6 @@ func Snapshot(a Atom) Atom {
 	return c
 }
 
-// SnapshotAtoms maps Snapshot over a slice of atoms.
-func SnapshotAtoms(atoms []Atom) []Atom {
-	out := make([]Atom, len(atoms))
-	for i, a := range atoms {
-		out[i] = Snapshot(a)
-	}
-	return out
-}
-
 // SnapshotSolution is the Solution form of Snapshot: a fresh shell and
 // element array (preserving the inertness flag), sharing element atoms
 // down to the next solution boundary.
@@ -83,6 +74,44 @@ func snapshotSeq(elems []Atom) ([]Atom, bool) {
 		return out, true
 	}
 	return elems, false
+}
+
+// Freeze returns a form of a that can be handed to another owner — a
+// status push, a PASS payload, a new agent's local solution — without
+// either side's later reductions reaching the other: a itself when it
+// is Shareable (every solution it holds is inert, and the engine never
+// writes to an inert solution), Snapshot(a) otherwise. A settled agent
+// state is shareable throughout, so freezing it allocates nothing.
+func Freeze(a Atom) Atom {
+	if Shareable(a) {
+		return a
+	}
+	return Snapshot(a)
+}
+
+// FreezeSolution returns a new, active solution holding Freeze of each
+// of atoms: the form in which atoms their owner goes on reducing are
+// handed to another owner (a status snapshot, a PASS payload). The
+// atoms slice itself is not retained.
+func FreezeSolution(atoms []Atom) *Solution {
+	elems := make([]Atom, len(atoms))
+	for i, a := range atoms {
+		elems[i] = Freeze(a)
+	}
+	return &Solution{elems: elems}
+}
+
+// Shell returns a fresh top-level shell over s's elements, each passed
+// through Freeze, preserving the inertness flag. Like SnapshotSolution
+// it can be mutated and reduced without affecting s, but it copies only
+// the solutions that are not inert; shareable elements — including
+// their inert sub-solutions — stay shared with s. Callers that write
+// into nested solutions directly, bypassing the engine, need
+// SnapshotSolution instead.
+func (s *Solution) Shell() *Solution {
+	sh := FreezeSolution(s.elems)
+	sh.inert = s.inert
+	return sh
 }
 
 // Shareable reports whether a can be added to a solution under active

@@ -63,6 +63,62 @@ func TestSnapshotPreservesInertness(t *testing.T) {
 	}
 }
 
+// TestFreezeSharesInertAndCopiesActive pins Freeze: a shareable atom
+// comes back as the very same value, one holding an active solution as
+// an independent snapshot.
+func TestFreezeSharesInertAndCopiesActive(t *testing.T) {
+	inert := NewSolution(Str("r"), Tuple{Ident("K"), Int(1)})
+	inert.SetInert(true)
+	if got := Freeze(inert); got.(*Solution) != inert {
+		t.Error("Freeze copied an inert solution")
+	}
+	tup := Tuple{Ident("RES"), inert}
+	if got := Freeze(tup).(Tuple); &got[0] != &tup[0] {
+		t.Error("Freeze copied a tuple holding only inert solutions")
+	}
+
+	active := NewSolution(Str("r"))
+	got := Freeze(active).(*Solution)
+	if got == active || !got.Equal(active) {
+		t.Fatalf("Freeze(active) = %p %v, want an equal copy of %p", got, got, active)
+	}
+	got.Add(Str("later"))
+	if active.Len() != 1 {
+		t.Error("mutating the frozen copy reached the original")
+	}
+	// An inert shell over an active solution is not shareable either.
+	outer := NewSolution(Tuple{Ident("IN"), active})
+	outer.SetInert(true)
+	if Freeze(outer).(*Solution) == outer {
+		t.Error("Freeze shared an inert solution holding an active one")
+	}
+}
+
+// TestShellSharesInertElements: Shell copies the top-level shell and
+// the active solutions below it, and shares everything inert.
+func TestShellSharesInertElements(t *testing.T) {
+	src := NewSolution(Ident("T1"))
+	src.SetInert(true)
+	in := NewSolution(Str("x")) // active
+	tpl := NewSolution(Tuple{Ident("SRC"), src}, Tuple{Ident("IN"), in})
+	sh := tpl.Shell()
+	if sh == tpl || !sh.Equal(tpl) || sh.Inert() != tpl.Inert() {
+		t.Fatalf("Shell = %v, want an equal fresh shell of %v", sh, tpl)
+	}
+	shSrc, _ := sh.FindTuple(Ident("SRC"))
+	if shSrc[1].(*Solution) != src {
+		t.Error("Shell copied an inert sub-solution")
+	}
+	shIn, _ := sh.FindTuple(Ident("IN"))
+	if shIn[1].(*Solution) == in {
+		t.Error("Shell shared an active sub-solution")
+	}
+	sh.Add(Int(1))
+	if tpl.Len() != 2 {
+		t.Error("mutating the shell reached the template")
+	}
+}
+
 func TestShareable(t *testing.T) {
 	inert := NewSolution(Str("r"))
 	inert.SetInert(true)

@@ -90,8 +90,3 @@ func idents(names []string) []hocl.Atom {
 	}
 	return out
 }
-
-// identSolution builds <T1, T2, ...> from task names.
-func identSolution(names []string) *hocl.Solution {
-	return hocl.NewSolution(idents(names)...)
-}

@@ -105,9 +105,11 @@ var GwGc = sync.OnceValue(func() *hocl.Rule {
 // time: the results come out of the sender's already-reduced RES solution
 // (gw_send only matches an inert RES), so the receiving engine can match
 // gw_recv immediately instead of first reducing the payload — and, on the
-// structural message path, the shared payload is never written to.
+// structural message path, the shared payload is never written to. The
+// results are frozen (hocl.Freeze), so res may be a window the caller
+// reuses, and may hold atoms the caller goes on reducing.
 func PassMessage(src string, res []hocl.Atom) hocl.Atom {
-	sol := hocl.NewSolution(res...)
+	sol := hocl.FreezeSolution(res)
 	sol.SetInert(true)
 	return hocl.Tuple{KeyPASS, hocl.Ident(src), sol}
 }
@@ -251,42 +253,48 @@ type TaskAttrs struct {
 	Src     []string    // upstream dependencies
 	Dst     []string    // downstream dependencies
 	Service string      // service name for SRV
-	In      []hocl.Atom // initial inputs (paper footnote 4)
+	In      []hocl.Atom // initial inputs (paper footnote 4): data atoms, no rules
 }
 
 // SubSolution builds the task's sub-solution for the centralized global
 // multiset (Fig. 3): SRC:<...>, DST:<...>, SRV:"s", IN:<...>, RES:<>,
 // plus the given rules (generic and adaptation).
 func (t TaskAttrs) SubSolution(rules ...*hocl.Rule) *hocl.Solution {
-	atoms := t.attrAtoms()
-	for _, r := range rules {
-		atoms = append(atoms, r)
-	}
-	return hocl.NewSolution(atoms...)
+	return hocl.NewSolution(t.appendAtoms(make([]hocl.Atom, 0, 5+len(rules)), rules)...)
 }
 
 // LocalSolution builds the task's agent-local solution (§IV-A): the same
 // attributes plus a NAME atom identifying the agent.
 func (t TaskAttrs) LocalSolution(rules ...*hocl.Rule) *hocl.Solution {
-	atoms := append([]hocl.Atom{hocl.Tuple{KeyNAME, hocl.Ident(t.Name)}}, t.attrAtoms()...)
+	atoms := append(make([]hocl.Atom, 0, 6+len(rules)), hocl.Tuple{KeyNAME, hocl.Ident(t.Name)})
+	return hocl.NewSolution(t.appendAtoms(atoms, rules)...)
+}
+
+// appendAtoms appends the attribute tuples and then the rules to atoms.
+//
+// The SRC/DST/IN/RES sub-solutions hold no rules, so the engine would
+// mark them inert on its first pass; they are built inert instead, which
+// lets every agent incarnation and status push share them by reference
+// (hocl.Freeze) rather than copy them.
+func (t TaskAttrs) appendAtoms(atoms []hocl.Atom, rules []*hocl.Rule) []hocl.Atom {
+	atoms = append(atoms,
+		hocl.Tuple{KeySRC, inertSolution(idents(t.Src)...)},
+		hocl.Tuple{KeyDST, inertSolution(idents(t.Dst)...)},
+		hocl.Tuple{KeySRV, hocl.Str(t.Service)},
+		hocl.Tuple{KeyIN, inertSolution(t.In...)},
+		hocl.Tuple{KeyRES, inertSolution()},
+	)
 	for _, r := range rules {
 		atoms = append(atoms, r)
 	}
-	return hocl.NewSolution(atoms...)
+	return atoms
 }
 
-func (t TaskAttrs) attrAtoms() []hocl.Atom {
-	in := make([]hocl.Atom, len(t.In))
-	for i, a := range t.In {
-		in[i] = a.Clone()
-	}
-	return []hocl.Atom{
-		hocl.Tuple{KeySRC, identSolution(t.Src)},
-		hocl.Tuple{KeyDST, identSolution(t.Dst)},
-		hocl.Tuple{KeySRV, hocl.Str(t.Service)},
-		hocl.Tuple{KeyIN, hocl.NewSolution(in...)},
-		hocl.Tuple{KeyRES, hocl.NewSolution()},
-	}
+// inertSolution builds a rule-free solution already marked inert.
+func inertSolution(atoms ...hocl.Atom) *hocl.Solution {
+	s := hocl.NewSolution(atoms...)
+	s.SetInert(true)
+	return s
 }
 
 // TaskTuple wraps a task sub-solution under its name for the global

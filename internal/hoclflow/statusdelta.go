@@ -12,8 +12,10 @@ import (
 //
 //   - removed atoms travel as their hocl.AtomHash values (the space
 //     already holds the atoms; a hash identifies which to drop);
-//   - added atoms travel by value (frozen snapshots, shared by
-//     reference on the in-process broker);
+//   - added atoms travel by value, frozen (hocl.Freeze): a settled
+//     agent state is inert throughout, so they are shared by reference
+//     with the agent's local solution and, on the in-process broker,
+//     with the space;
 //   - the delta is anchored by the fingerprint of the state it applies
 //     to (Base) and the fingerprint it must produce (Next), so a
 //     receiver can detect and refuse a delta it cannot apply.
@@ -149,8 +151,9 @@ type StatusEncoder struct {
 // Encode returns the wire payload for the task's current stripped status
 // atoms — a VER header followed by either the full Name:<...> snapshot
 // tuple or a STATDELTA tuple — or nil when the state is unchanged since
-// the last push. Atoms shipped in the payload are snapshotted (frozen);
-// the caller keeps ownership of the input slice.
+// the last push. Atoms shipped in the payload are frozen (hocl.Freeze:
+// shared when inert, snapshotted otherwise); the caller keeps ownership
+// of the input slice.
 func (e *StatusEncoder) Encode(atoms []hocl.Atom, inert bool) []hocl.Atom {
 	cur := e.cur[:0]
 	var m hocl.MultisetHash
@@ -185,7 +188,7 @@ func (e *StatusEncoder) Encode(atoms []hocl.Atom, inert bool) []hocl.Atom {
 			counts[h]--
 			continue
 		}
-		added = append(added, hocl.Snapshot(atoms[i]))
+		added = append(added, hocl.Freeze(atoms[i]))
 	}
 	var removed []uint64
 	for _, h := range e.hashes {
@@ -207,7 +210,7 @@ func (e *StatusEncoder) Encode(atoms []hocl.Atom, inert bool) []hocl.Atom {
 
 // full builds the classic full-snapshot payload and records the state.
 func (e *StatusEncoder) full(atoms []hocl.Atom, cur []uint64, fp uint64, inert bool) []hocl.Atom {
-	sub := hocl.NewSolution(hocl.SnapshotAtoms(atoms)...)
+	sub := hocl.FreezeSolution(atoms)
 	sub.SetInert(inert)
 	e.remember(cur, fp)
 	return e.payload(hocl.Tuple{hocl.Ident(e.Task), sub})

@@ -3,6 +3,7 @@ package space
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,7 +24,7 @@ func applyPayload(s *Space, payload []hocl.Atom) {
 // fullSnapshotPayload builds the classic full-snapshot payload for a
 // state, bypassing delta encoding.
 func fullSnapshotPayload(task string, atoms []hocl.Atom, inert bool) []hocl.Atom {
-	sub := hocl.NewSolution(hocl.SnapshotAtoms(atoms)...)
+	sub := hocl.FreezeSolution(atoms)
 	sub.SetInert(inert)
 	return []hocl.Atom{hocl.Tuple{hocl.Ident(task), sub}}
 }
@@ -181,7 +182,7 @@ func randomStatusState(rng *rand.Rand, fan int) []hocl.Atom {
 		atoms = append(atoms, hocl.Tuple{hoclflow.KeyIN, hocl.NewSolution(in...)})
 	}
 	if rng.Intn(3) == 0 {
-		atoms = append(atoms, hocl.Tuple{hoclflow.KeyPAR, hocl.List(hocl.SnapshotAtoms(in))})
+		atoms = append(atoms, hocl.Tuple{hoclflow.KeyPAR, hocl.List(slices.Clone(in))})
 	}
 	res := hocl.NewSolution()
 	if srcLeft == 0 && rng.Intn(2) == 0 {

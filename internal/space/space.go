@@ -848,7 +848,7 @@ func (s *Space) applyDeltaLocked(d *hoclflow.StatusDelta) bool {
 	if !st.owned {
 		// First patch of a shared snapshot: copy the shell (atoms stay
 		// shared) so in-place patches never touch the frozen original.
-		st.sub = st.sub.SnapshotSolution()
+		st.sub = st.sub.Shell()
 		st.owned = true
 	}
 	if len(removeIdx) > 0 {

@@ -2,7 +2,9 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"ginflow/internal/hocl"
 	"ginflow/internal/hoclflow"
@@ -174,10 +176,22 @@ func (d *Definition) TranslateCentral() (*CentralProgram, error) {
 	return prog, nil
 }
 
+// agentRules is the decentralised generic rule set every agent-local
+// solution carries, built once. Its capacity equals its length, so a
+// task that also hosts adaptation rules appends into a fresh copy and
+// the shared slice is never written.
+var agentRules = sync.OnceValue(func() []*hocl.Rule {
+	return slices.Clip([]*hocl.Rule{
+		hoclflow.GwSetup(), hoclflow.GwCall(),
+		hoclflow.GwSend(), hoclflow.GwRecv(), hoclflow.GwGc(),
+	})
+})
+
 // TranslateAgents produces one AgentSpec per deployable task (main and
 // replacement) for decentralised execution: local solutions carry the
 // decentralised generic rules (gw_setup, gw_call, gw_send, gw_recv,
-// gw_gc) plus the adaptation rules for the roles the task plays.
+// gw_gc) plus the adaptation rules for the roles the task plays. Specs
+// of tasks without an adaptation role have nil Funcs and Triggers.
 func (d *Definition) TranslateAgents() ([]AgentSpec, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -186,22 +200,18 @@ func (d *Definition) TranslateAgents() ([]AgentSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specs []AgentSpec
-	for _, attrs := range d.taskAttrs() {
-		rules := []*hocl.Rule{
-			hoclflow.GwSetup(), hoclflow.GwCall(),
-			hoclflow.GwSend(), hoclflow.GwRecv(), hoclflow.GwGc(),
-		}
-		spec := AgentSpec{Task: attrs, Funcs: map[string]hocl.Func{}}
-		if rp := roles[attrs.Name]; rp != nil {
+	attrs := d.taskAttrs()
+	specs := make([]AgentSpec, len(attrs))
+	for i, ta := range attrs {
+		rules := agentRules()
+		spec := AgentSpec{Task: ta}
+		if rp := roles[ta.Name]; rp != nil {
 			rules = append(rules, rp.rules...)
-			for name, fn := range rp.funcs {
-				spec.Funcs[name] = fn
-			}
+			spec.Funcs = rp.funcs
 			spec.Triggers = rp.triggers
 		}
-		spec.Local = attrs.LocalSolution(rules...)
-		specs = append(specs, spec)
+		spec.Local = ta.LocalSolution(rules...)
+		specs[i] = spec
 	}
 	return specs, nil
 }

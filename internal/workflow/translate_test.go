@@ -62,14 +62,14 @@ func TestTranslateAgentsReduceConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := s.Local.SnapshotSolution()
+			local := s.Local.Shell()
 			e := hocl.NewEngine()
 			e.Funcs.Register(hoclflow.FnInvoke, func(args []hocl.Atom) ([]hocl.Atom, error) {
 				return []hocl.Atom{hocl.Str("out-" + s.Task.Name)}, nil
 			})
 			e.Funcs.Register(hoclflow.FnSend, func(args []hocl.Atom) ([]hocl.Atom, error) {
 				dst := string(args[0].(hocl.Ident))
-				inbox[dst] <- hoclflow.PassMessage(s.Task.Name, hocl.SnapshotAtoms(args[1:]))
+				inbox[dst] <- hoclflow.PassMessage(s.Task.Name, args[1:])
 				return nil, nil
 			})
 			for {
